@@ -340,7 +340,7 @@ CellResult run_concurrent_cell(const std::vector<ScriptOp>& script,
   r.metrics["concurrent/blocks_reclaimed"] =
       bench::Json::number(st.blocks_reclaimed);
   if (cfg.track_aborts) {
-    const ConcurrentTaskPool::RecoveryStats rs = pool.recovery_stats();
+    const RecoveryStats rs = pool.recovery_stats();
     r.metrics["concurrent/aborts"] = bench::Json::number(st.aborts);
     r.metrics["concurrent/aborted_blocks"] =
         bench::Json::number(st.aborted_blocks);

@@ -84,10 +84,12 @@ int main() {
               static_cast<unsigned long long>(cycles));
   std::printf("every scan saw a consistent snapshot: %s\n",
               ok ? "yes" : "NO — torn read!");
-  const auto& t = env.stats().total();
+  auto osm_total = [&env](const char* name) {
+    return static_cast<unsigned long long>(
+        env.metrics().total(telemetry::Component::kOsm, name));
+  };
   std::printf("versioned ops: %llu (direct hits %llu, stalls %llu)\n",
-              static_cast<unsigned long long>(t.versioned_ops),
-              static_cast<unsigned long long>(t.direct_hits),
-              static_cast<unsigned long long>(t.stalls));
+              osm_total("versioned_ops"), osm_total("direct_hits"),
+              osm_total("stalls"));
   return ok ? 0 : 1;
 }

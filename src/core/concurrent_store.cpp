@@ -398,6 +398,9 @@ void ConcurrentVersionStore::maybe_reclaim(Shard& sh)
   std::vector<std::uint32_t> gone;
   std::size_t retired = 0;
   Ver max_shadower = 0;
+  // First entry whose block was missing from its chain; reported after
+  // the pass (see the unreachable branch below).
+  std::optional<Shadowed> broken;
   for (const Shadowed& sd : sh.shadowed) {
     if (std::find(gone.begin(), gone.end(), sd.block) != gone.end()) {
       continue;  // duplicate entry; the block was retired earlier this pass
@@ -427,8 +430,9 @@ void ConcurrentVersionStore::maybe_reclaim(Shard& sh)
       // (which erases every entry for the slot) or a retire here (which
       // purges every entry for the block). Keep the entry rather than
       // drop it — dropping would leak the block index, and pushing it to
-      // limbo without having unlinked it could double-free.
-      assert(false && "shadowed block missing from its slot chain");
+      // limbo without having unlinked it could double-free — and finish
+      // the pass so the shard stays consistent before reporting it.
+      if (!broken) broken = sd;
       keep.push_back(sd);
       continue;
     }
@@ -466,9 +470,10 @@ void ConcurrentVersionStore::maybe_reclaim(Shard& sh)
   sh.shadowed.swap(keep);
   sh.reclaimed.fetch_add(retired, std::memory_order_relaxed);
   if (retired != 0) {
-    // Serial GC floor rule (core/gc.cpp finalize): readers of a version
-    // shadowed by f have ids < f, so after reclaiming under fence f no
-    // task with id <= f-1 may ever be created.
+    // Serial GC floor rule (PaperWatermarkPolicy::finalize in
+    // core/gc_policy.cpp): readers of a version shadowed by f have ids
+    // < f, so after reclaiming under fence f no task with id <= f-1 may
+    // ever be created.
     const TaskId want = max_shadower == 0 ? 0 : max_shadower - 1;
     TaskId cur = gc_floor_.load(std::memory_order_relaxed);
     while (cur < want && !gc_floor_.compare_exchange_weak(
@@ -479,6 +484,12 @@ void ConcurrentVersionStore::maybe_reclaim(Shard& sh)
     // every reader active right now has unpinned.
     global_epoch_.fetch_add(1, std::memory_order_seq_cst);
     sched_point(SchedKind::kEpochAdvance, 0);
+  }
+  if (broken) {
+    throw std::logic_error(
+        "shadowed block " + std::to_string(broken->block) + " (version " +
+        std::to_string(broken->version) + ") missing from the chain of slot " +
+        std::to_string(broken->slot));
   }
 }
 
@@ -1041,8 +1052,9 @@ void ConcurrentVersionStore::task_created(TaskId t) {
 
 void ConcurrentVersionStore::create_task_locked(TaskId t) {
   // Rules #1 and #3, with the serial engine's exact diagnostics
-  // (core/gc.cpp): creation order must respect age, and a task below the
-  // floor could name an already-reclaimed version.
+  // (GcPolicy::task_created, core/gc_policy.cpp): creation order must
+  // respect age, and a task below the floor could name an
+  // already-reclaimed version.
   if (!unfinished_.empty() && t < unfinished_.begin()->first) {
     throw OFault(FaultKind::kTaskOrderViolation,
                  "task " + std::to_string(t) +

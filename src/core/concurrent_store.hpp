@@ -162,7 +162,8 @@ class ConcurrentVersionStore : public VersionEngine {
 
  private:
   /// Checked registration shared by task_created and an implicitly-creating
-  /// task_begin (task_mu_ held). Mirrors core/gc.cpp's diagnostics.
+  /// task_begin (task_mu_ held). Mirrors GcPolicy::task_created's diagnostics
+  /// (core/gc_policy.cpp).
   void create_task_locked(TaskId t) OSIM_REQUIRES(task_mu_);
 
  public:

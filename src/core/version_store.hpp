@@ -222,8 +222,6 @@ class VersionStore : public VersionEngine, private GcOwner {
     inj_.attach(inj);
     if (file_sink_ != nullptr) file_sink_->set_fault_hook(inj);
   }
-  /// Tasks rolled back by abort_task since construction.
-  std::uint64_t aborts() const { return abort_stats_.tasks_aborted; }
   /// Facade-level abort accounting (same fields as the concurrent engine).
   EngineStats engine_stats() const override { return abort_stats_; }
 

@@ -62,11 +62,6 @@ class ConcurrentTaskPool {
     std::uint64_t backoff_cap_us = 20000; ///< backoff ceiling per sleep
   };
 
-  /// Degradation telemetry, aggregated across workers. The vocabulary is
-  /// the facade's (core/version_engine.hpp) so chaos JSON and osim-report
-  /// spell these fields identically for every engine.
-  using RecoveryStats = ::osim::RecoveryStats;
-
   ConcurrentTaskPool(ConcurrentVersionStore& store, int workers)
       : store_(store), workers_(workers < 1 ? 1 : workers) {}
 
@@ -75,6 +70,8 @@ class ConcurrentTaskPool {
   void set_retry_policy(RetryPolicy p) { retry_ = p; }
   const RetryPolicy& retry_policy() const { return retry_; }
 
+  /// Degradation telemetry, aggregated across workers, in the facade's
+  /// vocabulary (core/version_engine.hpp).
   RecoveryStats recovery_stats() const {
     RecoveryStats s;
     s.aborts = aborts_.load(std::memory_order_relaxed);

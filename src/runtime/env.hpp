@@ -25,10 +25,10 @@
 #include <utility>
 
 #include "analysis/checker.hpp"
+#include "core/flat_map.hpp"
 #include "core/ostructure_manager.hpp"
 #include "runtime/arena.hpp"
 #include "runtime/functional.hpp"
-#include "sim/flat_map.hpp"
 #include "sim/machine.hpp"
 
 namespace osim {
@@ -68,13 +68,6 @@ class Env {
     }
     return *m_;
   }
-  /// The timed O-structure backend; timed backend only.
-  OStructureManager& osm() {
-    if (osm_ == nullptr) {
-      throw SimError("osm(): the functional backend has no manager");
-    }
-    return *osm_;
-  }
   /// The backend-independent semantic engine: the versioned ISA, allocation,
   /// protection, inspection and the event tracer — on either backend.
   VersionStore& store() { return m_ != nullptr ? osm_->store() : fb_->store(); }
@@ -85,8 +78,6 @@ class Env {
   /// The online protocol checker, when OStructConfig::check_mode enabled
   /// one for this backend; nullptr otherwise.
   analysis::Checker* checker() { return checker_; }
-  /// Snapshot of the legacy aggregate view (built from the registry).
-  MachineStats stats() const { return stats_snapshot(metrics()); }
   telemetry::MetricRegistry& metrics() {
     return m_ != nullptr ? m_->metrics() : fb_->metrics();
   }

@@ -17,10 +17,10 @@
 #include <functional>
 #include <vector>
 
+#include "core/flat_map.hpp"
+#include "core/types.hpp"
 #include "sim/cache.hpp"
 #include "sim/config.hpp"
-#include "sim/flat_map.hpp"
-#include "sim/types.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace osim {
@@ -101,7 +101,7 @@ class MemorySystem {
   std::vector<Cache> l1s_;
   Cache l2_;
   /// Coherence directory, probed on every access: a flat open-addressed
-  /// map keyed by line address (see sim/flat_map.hpp).
+  /// map keyed by line address (see core/flat_map.hpp).
   FlatMap<Addr, DirEntry> dir_;
   LineDropObserver drop_observer_;
 };

@@ -69,8 +69,7 @@ TEST(SerialAbort, RollsBackStoresAndRestoresShadowedHead) {
   EXPECT_EQ(vs.newest_version(e.base).value_or(0), 1u);
   EXPECT_EQ(vs.peek_version(e.base, 1).value_or(0), 111u);
   EXPECT_EQ(vs.free_blocks(), free_before);
-  EXPECT_EQ(vs.aborts(), 1u);
-  // Same accounting through the backend-agnostic facade: these are the
+  // Abort accounting through the backend-agnostic facade: these are the
   // fields bench JSON and osim-report read for BOTH engines.
   const EngineStats es = static_cast<VersionEngine&>(vs).engine_stats();
   EXPECT_EQ(es.tasks_aborted, 1u);
@@ -193,7 +192,7 @@ TEST(SerialAbort, InjectedExhaustionAbortRetryConvergesClean) {
     }
   }
   EXPECT_EQ(attempts, 2);
-  EXPECT_EQ(vs.aborts(), 1u);
+  EXPECT_EQ(vs.engine_stats().tasks_aborted, 1u);
   EXPECT_EQ(inj.fired(FaultSite::kBlockPool), 1u);
   for (Ver v = 1; v <= 4; ++v) {
     EXPECT_EQ(vs.peek_version(e.base + 8 * (v - 1), v).value_or(0), 100 + v);

@@ -22,8 +22,8 @@ namespace osim {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Unit tests: the policy object against a bare pool, like test_gc.cpp's
-// fixture for the paper policy.
+// Unit tests: the policy object against a bare pool, like the GcTest
+// fixture test_gc.cpp uses for PaperWatermarkPolicy.
 
 class BoundedGcTest : public ::testing::Test, protected GcOwner {
  protected:

@@ -16,24 +16,26 @@
 namespace osim {
 namespace {
 
+using telemetry::Component;
+
 MachineConfig cfg(int cores) {
   MachineConfig c;
   c.num_cores = cores;
   return c;
 }
 
-/// Run `body(manager)` on core 0 of a fresh machine and return elapsed time.
+/// Run `body(engine)` on core 0 of a fresh machine and return elapsed time.
 template <typename Fn>
 Cycles run1(Fn&& body, MachineConfig c = cfg(1)) {
   Machine m(c);
   OStructureManager osm(m);
-  m.spawn(0, [&] { body(osm); });
+  m.spawn(0, [&] { body(osm.store()); });
   m.run();
   return m.elapsed();
 }
 
 TEST(OStructure, StoreThenLoadVersion) {
-  run1([](OStructureManager& o) {
+  run1([](VersionStore& o) {
     const OAddr a = o.alloc();
     o.store_version(a, 1, 42);
     EXPECT_EQ(o.load_version(a, 1), 42u);
@@ -41,7 +43,7 @@ TEST(OStructure, StoreThenLoadVersion) {
 }
 
 TEST(OStructure, MultipleVersionsAllLoadable) {
-  run1([](OStructureManager& o) {
+  run1([](VersionStore& o) {
     const OAddr a = o.alloc();
     for (Ver v = 1; v <= 5; ++v) o.store_version(a, v, v * 100);
     // "All created versions are available simultaneously for loading."
@@ -51,7 +53,7 @@ TEST(OStructure, MultipleVersionsAllLoadable) {
 }
 
 TEST(OStructure, LoadLatestRoundsDown) {
-  run1([](OStructureManager& o) {
+  run1([](VersionStore& o) {
     const OAddr a = o.alloc();
     o.store_version(a, 2, 20);
     o.store_version(a, 5, 50);
@@ -68,7 +70,7 @@ TEST(OStructure, LoadLatestRoundsDown) {
 
 TEST(OStructure, OutOfOrderVersionCreation) {
   // "Version 2 may be stored to and loaded from before version 1."
-  run1([](OStructureManager& o) {
+  run1([](VersionStore& o) {
     const OAddr a = o.alloc();
     o.store_version(a, 2, 22);
     EXPECT_EQ(o.load_version(a, 2), 22u);
@@ -81,7 +83,8 @@ TEST(OStructure, OutOfOrderVersionCreation) {
 
 TEST(OStructure, LoadOfUncreatedVersionBlocksUntilStore) {
   Machine m(cfg(2));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   std::uint64_t got = 0;
   Cycles load_done = 0;
@@ -96,12 +99,13 @@ TEST(OStructure, LoadOfUncreatedVersionBlocksUntilStore) {
   m.run();
   EXPECT_EQ(got, 77u);
   EXPECT_GT(load_done, 5000u);
-  EXPECT_EQ(m.stats().core[0].stalls, 1u);
+  EXPECT_EQ(m.metrics().value(Component::kOsm, "stalls", 0), 1u);
 }
 
 TEST(OStructure, LoadLatestBlocksWhenNothingBelowCap) {
   Machine m(cfg(2));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   std::uint64_t got = 0;
   m.spawn(0, [&] {
@@ -118,7 +122,8 @@ TEST(OStructure, LoadLatestBlocksWhenNothingBelowCap) {
 
 TEST(OStructure, DoubleStoreFaults) {
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   m.spawn(0, [&] {
     const OAddr a = o.alloc();
     o.store_version(a, 1, 10);
@@ -135,7 +140,8 @@ TEST(OStructure, DoubleStoreFaults) {
 
 TEST(OStructure, LockLoadVersionExcludesSecondLocker) {
   Machine m(cfg(2));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   Cycles locker2_done = 0;
   m.spawn(0, [&] {
@@ -152,11 +158,11 @@ TEST(OStructure, LockLoadVersionExcludesSecondLocker) {
   });
   m.run();
   EXPECT_GT(locker2_done, 10000u);  // waited for core 0's unlock
-  EXPECT_EQ(m.stats().core[1].stalls, 1u);
+  EXPECT_EQ(m.metrics().value(Component::kOsm, "stalls", 1), 1u);
 }
 
 TEST(OStructure, LoadVersionIgnoresLocksOnOtherVersions) {
-  run1([](OStructureManager& o) {
+  run1([](VersionStore& o) {
     const OAddr a = o.alloc();
     o.store_version(a, 1, 10);
     o.store_version(a, 2, 20);
@@ -169,7 +175,8 @@ TEST(OStructure, LoadVersionIgnoresLocksOnOtherVersions) {
 
 TEST(OStructure, LoadVersionOfLockedVersionBlocks) {
   Machine m(cfg(2));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   Cycles read_done = 0;
   m.spawn(0, [&] {
@@ -189,7 +196,8 @@ TEST(OStructure, LoadVersionOfLockedVersionBlocks) {
 
 TEST(OStructure, LoadLatestBlocksOnLockedCandidate) {
   Machine m(cfg(2));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   Ver got_ver = 0;
   m.spawn(0, [&] {
@@ -209,7 +217,7 @@ TEST(OStructure, LoadLatestBlocksOnLockedCandidate) {
 }
 
 TEST(OStructure, UnlockRenameCopiesValueAndUnlocksBoth) {
-  run1([](OStructureManager& o) {
+  run1([](VersionStore& o) {
     const OAddr a = o.alloc();
     o.store_version(a, 1, 123);
     EXPECT_EQ(o.lock_load_version(a, 1, 9), 123u);
@@ -222,7 +230,7 @@ TEST(OStructure, UnlockRenameCopiesValueAndUnlocksBoth) {
 }
 
 TEST(OStructure, LockLoadLatestLocksWhatItRead) {
-  run1([](OStructureManager& o) {
+  run1([](VersionStore& o) {
     const OAddr a = o.alloc();
     o.store_version(a, 2, 20);
     o.store_version(a, 7, 70);
@@ -237,7 +245,8 @@ TEST(OStructure, LockLoadLatestLocksWhatItRead) {
 
 TEST(OStructure, UnlockByNonOwnerFaults) {
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   m.spawn(0, [&] {
     const OAddr a = o.alloc();
     o.store_version(a, 1, 1);
@@ -249,7 +258,8 @@ TEST(OStructure, UnlockByNonOwnerFaults) {
 
 TEST(OStructure, UnlockOfUnlockedVersionFaults) {
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   m.spawn(0, [&] {
     const OAddr a = o.alloc();
     o.store_version(a, 1, 1);
@@ -260,7 +270,8 @@ TEST(OStructure, UnlockOfUnlockedVersionFaults) {
 
 TEST(OStructure, RenameOntoExistingVersionFaults) {
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   m.spawn(0, [&] {
     const OAddr a = o.alloc();
     o.store_version(a, 1, 1);
@@ -278,14 +289,16 @@ TEST(OStructure, RenameOntoExistingVersionFaults) {
 
 TEST(OStructure, VersionedAccessToUnversionedAddressFaults) {
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   m.spawn(0, [&] { o.load_version(0x1234, 1); });
   EXPECT_THROW(m.run(), SimError);
 }
 
 TEST(OStructure, ConventionalAccessToVersionedPageFaults) {
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   EXPECT_THROW(o.check_conventional(a), OFault);
   o.check_conventional(0x1234);  // conventional address: fine
@@ -293,16 +306,17 @@ TEST(OStructure, ConventionalAccessToVersionedPageFaults) {
 
 TEST(OStructure, ReleaseConvertsBackToConventional) {
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc(4);
   m.spawn(0, [&] {
     o.store_version(a, 1, 10);
     o.store_version(a + 8, 1, 20);
   });
   m.run();
-  EXPECT_EQ(m.stats().blocks_allocated, 2u);
+  EXPECT_EQ(m.metrics().total(Component::kOsm, "blocks_allocated"), 2u);
   o.release(a, 4);
-  EXPECT_EQ(m.stats().blocks_freed, 2u);
+  EXPECT_EQ(m.metrics().total(Component::kOsm, "blocks_freed"), 2u);
   EXPECT_FALSE(o.is_versioned_addr(a));
   o.check_conventional(a);  // no fault once released
   // Slots are recycled for the next same-size allocation.
@@ -311,7 +325,8 @@ TEST(OStructure, ReleaseConvertsBackToConventional) {
 
 TEST(OStructure, RepeatedLoadsHitCompressedLine) {
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   m.spawn(0, [&] {
     // Compression engages once a slot holds more than one version (a
@@ -321,18 +336,18 @@ TEST(OStructure, RepeatedLoadsHitCompressedLine) {
     for (int i = 0; i < 10; ++i) EXPECT_EQ(o.load_version(a, 1), 10u);
   });
   m.run();
-  const CoreStats cs = m.stats().core[0];
   // The first load walks and installs the entry; the rest hit directly.
-  EXPECT_GE(cs.direct_hits, 9u);
-  EXPECT_LE(cs.full_lookups, 1u);
-  EXPECT_GT(m.stats().compressed_installs, 0u);
+  EXPECT_GE(m.metrics().value(Component::kOsm, "direct_hits", 0), 9u);
+  EXPECT_LE(m.metrics().value(Component::kOsm, "full_lookups", 0), 1u);
+  EXPECT_GT(m.metrics().total(Component::kOsm, "compressed_installs"), 0u);
 }
 
 TEST(OStructure, SingleVersionSlotStaysUncompressed) {
   // A slot with one version relies on the plain block line in L1 — the
   // repeat loads are L1 hits on it, not compressed-line direct accesses.
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   m.spawn(0, [&] {
     o.store_version(a, 1, 10);
@@ -345,12 +360,13 @@ TEST(OStructure, SingleVersionSlotStaysUncompressed) {
     EXPECT_GE(first, m.config().l1.hit_latency);
   });
   m.run();
-  EXPECT_EQ(m.stats().compressed_installs, 0u);
+  EXPECT_EQ(m.metrics().total(Component::kOsm, "compressed_installs"), 0u);
 }
 
 TEST(OStructure, LoadLatestDirectHitsViaAdjacency) {
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   m.spawn(0, [&] {
     for (Ver v = 1; v <= 3; ++v) o.store_version(a, v, v);
@@ -359,13 +375,13 @@ TEST(OStructure, LoadLatestDirectHitsViaAdjacency) {
     for (int i = 0; i < 5; ++i) EXPECT_EQ(o.load_latest(a, 2), 2u);
   });
   m.run();
-  const CoreStats cs = m.stats().core[0];
-  EXPECT_GE(cs.direct_hits, 4u);
+  EXPECT_GE(m.metrics().value(Component::kOsm, "direct_hits", 0), 4u);
 }
 
 TEST(OStructure, RemoteStoreDiscardsCompressedLine) {
   Machine m(cfg(2));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   m.spawn(0, [&] {
     o.store_version(a, 1, 10);
@@ -379,21 +395,22 @@ TEST(OStructure, RemoteStoreDiscardsCompressedLine) {
     o.store_version(a, 3, 30);
   });
   m.run();
-  EXPECT_GT(m.stats().compressed_discards, 0u);
+  EXPECT_GT(m.metrics().total(Component::kOsm, "compressed_discards"), 0u);
 }
 
 TEST(OStructure, WalkChargesScaleWithListLength) {
   // Loading an old version from a long list walks many blocks; stats and
   // elapsed time must reflect it.
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   m.spawn(0, [&] {
     for (Ver v = 1; v <= 64; ++v) o.store_version(a, v, v);
     EXPECT_EQ(o.load_version(a, 1), 1u);  // full walk of 64 blocks
   });
   m.run();
-  EXPECT_GE(m.stats().core[0].walk_blocks, 64u);
+  EXPECT_GE(m.metrics().value(Component::kOsm, "walk_blocks", 0), 64u);
 }
 
 TEST(OStructure, GcReclaimsShadowedVersionsEndToEnd) {
@@ -401,7 +418,8 @@ TEST(OStructure, GcReclaimsShadowedVersionsEndToEnd) {
   c.ostruct.initial_pool_blocks = 64;
   c.ostruct.gc_watermark = 32;
   Machine m(c);
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   m.spawn(0, [&] {
     // Tasks 1..100 each store a new version; shadowed versions pile up and
@@ -413,9 +431,9 @@ TEST(OStructure, GcReclaimsShadowedVersionsEndToEnd) {
     }
   });
   m.run();
-  EXPECT_GT(m.stats().gc_phases, 0u);
-  EXPECT_GT(m.stats().blocks_freed, 0u);
-  EXPECT_EQ(m.stats().os_traps, 0u);
+  EXPECT_GT(m.metrics().total(Component::kGc, "phases"), 0u);
+  EXPECT_GT(m.metrics().total(Component::kOsm, "blocks_freed"), 0u);
+  EXPECT_EQ(m.metrics().total(Component::kOsm, "os_traps"), 0u);
   EXPECT_EQ(o.pool().size(), 64u);  // watermarked GC avoided any growth
 }
 
@@ -425,7 +443,8 @@ TEST(OStructure, ExhaustionWithoutGcTrapsToOs) {
   c.ostruct.gc_watermark = 0;       // never trigger early
   c.ostruct.trap_grow_blocks = 16;
   Machine m(c);
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   m.spawn(0, [&] {
     // No task ever ends, so nothing is reclaimable: the pool must grow.
@@ -434,7 +453,7 @@ TEST(OStructure, ExhaustionWithoutGcTrapsToOs) {
     o.task_end(1);
   });
   m.run();
-  EXPECT_GT(m.stats().os_traps, 0u);
+  EXPECT_GT(m.metrics().total(Component::kOsm, "os_traps"), 0u);
   EXPECT_GT(o.pool().size(), 16u);
 }
 
@@ -443,7 +462,8 @@ TEST(OStructure, GcDoesNotReclaimReachableVersions) {
   c.ostruct.initial_pool_blocks = 64;
   c.ostruct.gc_watermark = 60;  // collect aggressively
   Machine m(c);
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   m.spawn(0, [&] {
     o.task_begin(1);
@@ -465,7 +485,7 @@ TEST(OStructure, InjectedLatencySlowsVersionedOps) {
     MachineConfig c = cfg(1);
     c.ostruct.injected_latency = inject;
     return run1(
-        [](OStructureManager& o) {
+        [](VersionStore& o) {
           const OAddr a = o.alloc();
           o.store_version(a, 1, 1);
           for (int i = 0; i < 100; ++i) o.load_version(a, 1);
@@ -480,7 +500,8 @@ TEST(OStructure, InjectedLatencySlowsVersionedOps) {
 
 TEST(OStructure, RootFlagFeedsRootStallStats) {
   Machine m(cfg(2));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   OpFlags root;
   root.root = true;
@@ -492,13 +513,14 @@ TEST(OStructure, RootFlagFeedsRootStallStats) {
     o.store_version(a, 1, 42);
   });
   m.run();
-  EXPECT_EQ(m.stats().core[0].root_loads, 1u);
-  EXPECT_EQ(m.stats().core[0].root_stalls, 1u);
+  EXPECT_EQ(m.metrics().value(Component::kOsm, "root_loads", 0), 1u);
+  EXPECT_EQ(m.metrics().value(Component::kOsm, "root_stalls", 0), 1u);
 }
 
 TEST(OStructure, DeadlockOnNeverStoredVersionReported) {
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   m.spawn(0, [&] { o.load_version(a, 1); });
   try {
@@ -514,7 +536,8 @@ TEST(OStructure, RepeatedLockUnlockHitsCompressedLine) {
   // compressed-line probe must still recognize the pre-lock entry, so
   // steady lock/unlock cycles on a hot multi-version slot go direct.
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr a = o.alloc();
   m.spawn(0, [&] {
     o.store_version(a, 1, 10);
@@ -527,7 +550,7 @@ TEST(OStructure, RepeatedLockUnlockHitsCompressedLine) {
     }
   });
   m.run();
-  EXPECT_GE(m.stats().core[0].direct_hits, 8u);
+  EXPECT_GE(m.metrics().value(Component::kOsm, "direct_hits", 0), 8u);
 }
 
 TEST(OStructure, ConcurrentAllocationAndStoresAreSafe) {
@@ -536,7 +559,8 @@ TEST(OStructure, ConcurrentAllocationAndStoresAreSafe) {
   // reallocate the slot table under it. Hammer allocation from one core
   // while another core stores.
   Machine m(cfg(2));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   const OAddr hot = o.alloc();
   m.spawn(0, [&] {
     for (Ver v = 1; v <= 300; ++v) o.store_version(hot, v, v);
@@ -563,7 +587,8 @@ class OStructureGolden : public ::testing::TestWithParam<unsigned> {};
 TEST_P(OStructureGolden, MatchesReferenceModel) {
   std::mt19937 rng(GetParam());
   Machine m(cfg(1));
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   constexpr int kSlots = 8;
   const OAddr base = o.alloc(kSlots);
 

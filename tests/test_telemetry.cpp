@@ -5,11 +5,13 @@
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/ostructure_manager.hpp"
+#include "runtime/env.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
@@ -233,6 +235,57 @@ TEST(EventTypeTest, NamesAreStable) {
 }
 
 // ---------------------------------------------------------------------------
+// MetricRegistry::value and total read 0 for a name that was never
+// registered, so a test asserting a zero count on a misspelled name would
+// pass silently. Every (component, name) pair the tests read by name must
+// therefore exist on a timed Env.
+TEST(Metrics, NamesReadByTestsAreRegisteredOnTimedEnv) {
+  MachineConfig c;
+  c.num_cores = 2;
+  Env env(c);
+  VersionStore& vs = env.store();
+  const OAddr a = vs.alloc();
+  env.run_sequential([&] {
+    vs.store_version(a, 1, 10);
+    vs.store_version(a, 2, 20);
+    EXPECT_EQ(vs.load_version(a, 1), 10u);
+  });
+
+  const std::pair<Component, const char*> kReadByTests[] = {
+      {Component::kCore, "instructions"},
+      {Component::kCore, "stall_cycles"},
+      {Component::kCache, "loads"},
+      {Component::kCache, "stores"},
+      {Component::kCache, "l1_hits"},
+      {Component::kCache, "l1_misses"},
+      {Component::kCache, "l2_hits"},
+      {Component::kCache, "l2_misses"},
+      {Component::kCache, "remote_l1_fills"},
+      {Component::kCache, "upgrades"},
+      {Component::kOsm, "versioned_ops"},
+      {Component::kOsm, "direct_hits"},
+      {Component::kOsm, "full_lookups"},
+      {Component::kOsm, "walk_blocks"},
+      {Component::kOsm, "stalls"},
+      {Component::kOsm, "root_loads"},
+      {Component::kOsm, "root_stalls"},
+      {Component::kOsm, "tasks_executed"},
+      {Component::kOsm, "blocks_allocated"},
+      {Component::kOsm, "blocks_freed"},
+      {Component::kOsm, "os_traps"},
+      {Component::kOsm, "compressed_installs"},
+      {Component::kOsm, "compressed_discards"},
+      {Component::kOsm, "compress_overflows"},
+      {Component::kGc, "phases"},
+      {Component::kGc, "shadowed_blocks"},
+  };
+  const MetricRegistry& reg = env.metrics();
+  for (const auto& [comp, name] : kReadByTests) {
+    EXPECT_NE(reg.find(comp, name), nullptr)
+        << to_string(comp) << "/" << name << " is not registered";
+  }
+}
+
 // Machine-level lifecycle events: the OSM's tracer must report the same
 // story the registry counters tell.
 
@@ -240,7 +293,8 @@ TEST(LifecycleEvents, MatchRegistryCounters) {
   MachineConfig c;
   c.num_cores = 1;
   Machine m(c);
-  OStructureManager o(m);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
   RingSink all(1 << 14, kAllEvents);
   o.tracer().attach(&all);
 

@@ -379,7 +379,7 @@ RoundResult run_concurrent_round(const ChaosOptions& opt,
   if (rr.cell.check_errors != 0) note(rr, "protocol checker found errors");
 
   const EngineStats es = store.engine_stats();
-  const ConcurrentTaskPool::RecoveryStats rs = pool.recovery_stats();
+  const RecoveryStats rs = pool.recovery_stats();
   rr.giveups = rs.giveups;
   rr.cell.backend = "functional";
   rr.cell.exec = "concurrent";

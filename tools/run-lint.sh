@@ -26,6 +26,25 @@ if [ -n "$layering_bad" ]; then
 fi
 echo "run-lint: layering OK (src/core depends only on core/, sim/, telemetry/)"
 
+# Shim lint (toolchain-free, always enforced): each capability is reachable
+# one way only, so src/ holds no [[deprecated]] aliases and no forwarding
+# headers — headers whose only content, past comments, blank lines and
+# `#pragma once`, is #include lines.
+shim_bad=$(grep -rn '\[\[deprecated' src || true)
+while IFS= read -r h; do
+  body=$(grep -v -e '^[[:space:]]*$' -e '^[[:space:]]*//' \
+                 -e '^#pragma once' "$h" || true)
+  if [ -n "$body" ] && ! grep -qv '^#include ' <<< "$body"; then
+    shim_bad+="${shim_bad:+$'\n'}$h: forwarding header"
+  fi
+done < <(find src \( -name '*.hpp' -o -name '*.h' \) | sort)
+if [ -n "$shim_bad" ]; then
+  echo "run-lint: SHIM — delete it and point callers at the real API:"
+  echo "$shim_bad"
+  exit 1
+fi
+echo "run-lint: no shims (no [[deprecated]], no forwarding headers in src/)"
+
 if ! command -v clang-tidy > /dev/null 2>&1; then
   echo "run-lint: clang-tidy not installed; skipping (install LLVM to lint)"
   exit 0
