@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "core/fault.hpp"
-#include "core/gc_policy.hpp"
 
 namespace osim {
 
@@ -153,6 +152,73 @@ std::uint64_t ConcurrentVersionStore::min_active_epoch() const {
 }
 
 // ---------------------------------------------------------------------------
+// Chain primitives
+
+/// Seqlock write window, following snippet 1's discipline (SNIPPETS.md,
+/// cyfdecyf/mem-order/mem-record-seqlock.c). The snippet's point about
+/// barrier placement: the release fence must sit *between* the odd sequence
+/// store and the data writes ("the barrier should be added right after the
+/// actual write"), so that any reader that observes a data write also
+/// observes the odd sequence when it re-checks — without the fence a
+/// link-in could become visible before the odd sequence and a reader would
+/// validate a torn walk. The closing store is itself a release so the whole
+/// window is ordered before any subsequent even sequence a reader can see.
+/// Every slot mutation goes through this guard; tools/run-lint.sh rejects a
+/// sequence store anywhere else in this file.
+struct ConcurrentVersionStore::SeqWrite {
+  CSlot& sl;
+  const std::uint32_t sq;
+  explicit SeqWrite(CSlot& s)
+      : sl(s), sq(s.seq.load(std::memory_order_relaxed)) {
+    sl.seq.store(sq + 1, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_release);
+  }
+  ~SeqWrite() { sl.seq.store(sq + 2, std::memory_order_release); }
+  SeqWrite(const SeqWrite&) = delete;
+  SeqWrite& operator=(const SeqWrite&) = delete;
+};
+
+ConcurrentVersionStore::ChainPos ConcurrentVersionStore::find_locked(
+    Shard& sh, CSlot& sl, bool exact, Ver key) {
+  // We hold the shard writer lock, so plain relaxed loads are exact; chains
+  // are kept sorted newest-first.
+  ChainPos at;
+  for (at.cur = sl.head.load(std::memory_order_relaxed); at.cur != kNil;) {
+    CBlock& cb = block(sh, at.cur);
+    const Ver v = cb.version.load(std::memory_order_relaxed);
+    if (v <= key) {
+      if (exact && v != key) at.cur = kNil;  // sorted: key is absent
+      return at;
+    }
+    at.pred = at.cur;
+    at.cur = cb.next.load(std::memory_order_relaxed);
+  }
+  return at;
+}
+
+void ConcurrentVersionStore::unlink_locked(Shard& sh, CSlot& sl,
+                                           std::uint64_t slot, ChainPos at,
+                                           std::uint64_t epoch) {
+  CBlock& cb = block(sh, at.cur);
+  {
+    SeqWrite w(sl);
+    const std::uint32_t nx = cb.next.load(std::memory_order_relaxed);
+    if (at.pred == kNil) {
+      sl.head.store(nx, std::memory_order_relaxed);
+    } else {
+      block(sh, at.pred).next.store(nx, std::memory_order_relaxed);
+    }
+    cb.locked_by.store(kNoTask, std::memory_order_relaxed);
+    sl.nversions.fetch_sub(1, std::memory_order_relaxed);
+  }
+  if (tracing()) {
+    emit(telemetry::EventType::kBlockFreed, OpCode{}, ostruct_addr(slot),
+         cb.version.load(std::memory_order_relaxed), trace_id(sh, at.cur));
+  }
+  sh.limbo.push_back({at.cur, epoch});
+}
+
+// ---------------------------------------------------------------------------
 // Slot table
 
 ConcurrentVersionStore::CSlot* ConcurrentVersionStore::slot_ptr(
@@ -252,17 +318,16 @@ void ConcurrentVersionStore::release(OAddr base, std::size_t slots) {
     {
       ShardLock g(*this, sh);
       const std::uint64_t epoch = global_epoch_.load(std::memory_order_relaxed);
-      // Seqlock write: empty the chain and clear the versioned bit in one
-      // atomic-looking step (readers racing with release retry, then fault
-      // on the cleared bit).
-      const std::uint32_t sq = sl.seq.load(std::memory_order_relaxed);
-      sl.seq.store(sq + 1, std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_release);
-      std::uint32_t b = sl.head.load(std::memory_order_relaxed);
-      sl.head.store(kNil, std::memory_order_relaxed);
-      sl.nversions.store(0, std::memory_order_relaxed);
-      sl.allocated.store(0, std::memory_order_relaxed);
-      sl.seq.store(sq + 2, std::memory_order_release);
+      // One write window empties the chain and clears the versioned bit
+      // (readers racing with release retry, then fault on the cleared bit).
+      std::uint32_t b;
+      {
+        SeqWrite w(sl);
+        b = sl.head.load(std::memory_order_relaxed);
+        sl.head.store(kNil, std::memory_order_relaxed);
+        sl.nversions.store(0, std::memory_order_relaxed);
+        sl.allocated.store(0, std::memory_order_relaxed);
+      }
       while (b != kNil) {
         CBlock& cb = block(sh, b);
         if (tracing()) {
@@ -323,7 +388,6 @@ std::uint32_t ConcurrentVersionStore::alloc_block(Shard& sh) {
   if (!sh.free_list.empty()) {
     const std::uint32_t b = sh.free_list.back();
     sh.free_list.pop_back();
-    ++sh.allocated;
     return b;
   }
   const std::uint32_t nc = sh.nchunks.load(std::memory_order_relaxed);
@@ -340,7 +404,6 @@ std::uint32_t ConcurrentVersionStore::alloc_block(Shard& sh) {
                        std::memory_order_release);
     sh.nchunks.store(nc + 1, std::memory_order_release);
   }
-  ++sh.allocated;
   return sh.next_fresh++;
 }
 
@@ -354,8 +417,8 @@ void ConcurrentVersionStore::maybe_reclaim(Shard& sh)
   // sweep exactly like an empty one, so pressure just builds until a later
   // consultation lets a pass through.
   if (inj_.fire(FaultSite::kGcDelay)) return;
-  // Reclamation eligibility goes through the GcPolicy seam's predicates
-  // (core/gc_policy.hpp), inlined here under the shard writer lock:
+  // Reclamation eligibility applies the GcPolicy seam's two rules
+  // (core/gc_policy.hpp) under the shard writer lock:
   //
   //  * kPaper — the paper's fence rule: a shadowed block can only be named
   //    by tasks older than its shadower, so once every task below the floor
@@ -364,7 +427,8 @@ void ConcurrentVersionStore::maybe_reclaim(Shard& sh)
   //  * kBounded — the per-block range rule: a block holding version v and
   //    shadowed by s is unreachable once no unfinished task id lies in
   //    [v, s) (task ids double as read caps), no matter how old the oldest
-  //    unfinished task is.
+  //    unfinished task is — GcTaskTracker::any_in, the serial policy's own
+  //    query.
   //
   // Either way the eligible blocks are unlinked here (inside a seqlock
   // write window) and then parked in limbo until the epoch grace period
@@ -376,17 +440,12 @@ void ConcurrentVersionStore::maybe_reclaim(Shard& sh)
   // range query needs a stable unfinished set, and the serialization makes
   // the floor raise at the bottom atomic with the reclaim decision — a task
   // created after this pass observes the raised gc_floor_ and faults out of
-  // every reclaimed range, while one created before it appears in `live`
-  // and pins its range. (Lock order writer_mu -> task_mu_ -> trace_mu_ is
+  // every reclaimed range, while one created before it is in tasks_ and
+  // pins its range. (Lock order writer_mu -> task_mu_ -> trace_mu_ is
   // acyclic: no path acquires task_mu_ before a shard lock, and the task
   // lifecycle emits trace events outside task_mu_.)
   std::unique_lock<Mutex> task_lk;
-  std::vector<TaskId> live;
-  if (bounded) {
-    task_lk = std::unique_lock<Mutex>(task_mu_);
-    live.reserve(unfinished_.size());
-    for (const auto& [t, n] : unfinished_) live.push_back(t);  // ascending
-  }
+  if (bounded) task_lk = std::unique_lock<Mutex>(task_mu_);
   std::vector<Shadowed> keep;
   keep.reserve(sh.shadowed.size());
   // A block can carry more than one shadow entry: a mid-list insert
@@ -406,9 +465,8 @@ void ConcurrentVersionStore::maybe_reclaim(Shard& sh)
       continue;  // duplicate entry; the block was retired earlier this pass
     }
     CBlock& cb = block(sh, sd.block);
-    const bool pinned =
-        bounded ? gc_range_has_live_task(live, sd.version, sd.shadower)
-                : sd.shadower > floor;
+    const bool pinned = bounded ? tasks_.any_in(sd.version, sd.shadower)
+                                : sd.shadower > floor;
     if (pinned || cb.locked_by.load(std::memory_order_relaxed) != kNoTask) {
       keep.push_back(sd);
       continue;
@@ -418,14 +476,8 @@ void ConcurrentVersionStore::maybe_reclaim(Shard& sh)
       continue;  // slot released; release() already retired the chain
     }
     CSlot& sl = *sp;
-    // Unlink under a seqlock write window.
-    std::uint32_t pred = kNil;
-    std::uint32_t cur = sl.head.load(std::memory_order_relaxed);
-    while (cur != kNil && cur != sd.block) {
-      pred = cur;
-      cur = block(sh, cur).next.load(std::memory_order_relaxed);
-    }
-    if (cur == kNil) {
+    const ChainPos at = find_locked(sh, sl, /*exact=*/true, sd.version);
+    if (at.cur != sd.block) {
       // Unreachable: a block leaves its chain only through release()
       // (which erases every entry for the slot) or a retire here (which
       // purges every entry for the block). Keep the entry rather than
@@ -436,23 +488,7 @@ void ConcurrentVersionStore::maybe_reclaim(Shard& sh)
       keep.push_back(sd);
       continue;
     }
-    const std::uint32_t sq = sl.seq.load(std::memory_order_relaxed);
-    sl.seq.store(sq + 1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-    const std::uint32_t nx = cb.next.load(std::memory_order_relaxed);
-    if (pred == kNil) {
-      sl.head.store(nx, std::memory_order_relaxed);
-    } else {
-      block(sh, pred).next.store(nx, std::memory_order_relaxed);
-    }
-    sl.nversions.fetch_sub(1, std::memory_order_relaxed);
-    sl.seq.store(sq + 2, std::memory_order_release);
-    if (tracing()) {
-      emit(telemetry::EventType::kBlockFreed, OpCode{}, ostruct_addr(sd.slot),
-           cb.version.load(std::memory_order_relaxed),
-           trace_id(sh, sd.block));
-    }
-    sh.limbo.push_back({sd.block, epoch});
+    unlink_locked(sh, sl, sd.slot, at, epoch);
     gone.push_back(sd.block);
     max_shadower = std::max(max_shadower, sd.shadower);
     ++retired;
@@ -716,25 +752,17 @@ ConcurrentVersionStore::ReadOutcome ConcurrentVersionStore::read_serialized(
   ShardLock g(*this, sh);
   ReadOutcome out;
   out.seq = sl.seq.load(std::memory_order_relaxed);
-  for (std::uint32_t b = sl.head.load(std::memory_order_relaxed);
-       b != kNil;) {
-    CBlock& cb = block(sh, b);
-    const Ver v = cb.version.load(std::memory_order_relaxed);
-    const bool match = exact ? v == key : v <= key;
-    if (match) {
-      if (cb.locked_by.load(std::memory_order_relaxed) == kNoTask) {
-        out.ok = true;
-        out.got = v;
-        out.data = cb.data.load(std::memory_order_relaxed);
-        // Semantic point of the read, still inside the writer lock: the
-        // event stream interleaves store < read for any version this read
-        // observed, which is what the checker's dataflow joins need.
-        emit(telemetry::EventType::kVersionRead, op, a, v, key);
-      }
-      return out;
-    }
-    if (exact && v < key) return out;
-    b = cb.next.load(std::memory_order_relaxed);
+  const std::uint32_t b = find_locked(sh, sl, exact, key).cur;
+  if (b == kNil) return out;
+  CBlock& cb = block(sh, b);
+  if (cb.locked_by.load(std::memory_order_relaxed) == kNoTask) {
+    out.ok = true;
+    out.got = cb.version.load(std::memory_order_relaxed);
+    out.data = cb.data.load(std::memory_order_relaxed);
+    // Semantic point of the read, still inside the writer lock: the event
+    // stream interleaves store < read for any version this read observed,
+    // which is what the checker's dataflow joins need.
+    emit(telemetry::EventType::kVersionRead, op, a, out.got, key);
   }
   return out;
 }
@@ -786,19 +814,7 @@ void ConcurrentVersionStore::store_locked(Shard& sh, CSlot& sl,
   // just-retired cur back as the new block — so the insert below corrupts
   // the chain (lost store, or a self-loop when nb == cur). osim-mc finds
   // the interleaving via the gc_fence litmus and check_integrity().
-  std::uint32_t pred = kNil;
-  std::uint32_t cur = sl.head.load(std::memory_order_relaxed);
-  while (cur != kNil) {
-    CBlock& cb = block(sh, cur);
-    const Ver cv = cb.version.load(std::memory_order_relaxed);
-    if (cv == v) {
-      throw OFault(FaultKind::kVersionAlreadyExists,
-                   "version " + std::to_string(v) + " already exists");
-    }
-    if (cv < v) break;
-    pred = cur;
-    cur = cb.next.load(std::memory_order_relaxed);
-  }
+  const ChainPos at = find_locked(sh, sl, /*exact=*/false, v);
   const std::uint32_t nb = alloc_block(sh);
 #else
   // Allocate before walking, like the serial store_impl: alloc_block may
@@ -808,54 +824,33 @@ void ConcurrentVersionStore::store_locked(Shard& sh, CSlot& sl,
   // reachable from any chain, so the walk below sees a stable
   // post-reclaim list.
   const std::uint32_t nb = alloc_block(sh);
-
-  // Walk to the insertion point. We hold the shard writer lock, so plain
-  // relaxed loads are exact; lists are kept sorted newest-first.
-  std::uint32_t pred = kNil;
-  std::uint32_t cur = sl.head.load(std::memory_order_relaxed);
-  while (cur != kNil) {
-    CBlock& cb = block(sh, cur);
-    const Ver cv = cb.version.load(std::memory_order_relaxed);
-    if (cv == v) {
-      // Duplicate version: hand the never-linked block straight back to
-      // the free list before faulting (serial store_impl's recycle). No
-      // trace event — kBlockAlloc is only emitted once the block is
-      // linked, so the checker never saw this one.
-      sh.free_list.push_back(nb);
-      --sh.allocated;
-      throw OFault(FaultKind::kVersionAlreadyExists,
-                   "version " + std::to_string(v) + " already exists");
-    }
-    if (cv < v) break;
-    pred = cur;
-    cur = cb.next.load(std::memory_order_relaxed);
-  }
+  const ChainPos at = find_locked(sh, sl, /*exact=*/false, v);
 #endif
+  if (at.cur != kNil &&
+      block(sh, at.cur).version.load(std::memory_order_relaxed) == v) {
+    // Duplicate version: hand the never-linked block straight back to the
+    // free list before faulting (serial store_impl's recycle). No trace
+    // event — kBlockAlloc is only emitted once the block is linked, so the
+    // checker never saw this one.
+    sh.free_list.push_back(nb);
+    throw OFault(FaultKind::kVersionAlreadyExists,
+                 "version " + std::to_string(v) + " already exists");
+  }
+  const auto [pred, cur] = at;
   CBlock& b = block(sh, nb);
   b.version.store(v, std::memory_order_relaxed);
   b.data.store(data, std::memory_order_relaxed);
   b.locked_by.store(kNoTask, std::memory_order_relaxed);
   b.next.store(cur, std::memory_order_relaxed);
-
-  // Seqlock write side, following snippet 1's discipline. The snippet's
-  // point about barrier placement: the release fence must sit *between*
-  // the odd sequence store and the data writes ("the barrier should be
-  // added right after the actual write"), so that any reader that
-  // observes a data write also observes the odd sequence when it
-  // re-checks — without the fence the link-in below could become visible
-  // before the odd sequence and a reader would validate a torn walk. The
-  // closing store is itself a release so the whole window is ordered
-  // before any subsequent even sequence a reader can see.
-  const std::uint32_t sq = sl.seq.load(std::memory_order_relaxed);
-  sl.seq.store(sq + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  if (pred == kNil) {
-    sl.head.store(nb, std::memory_order_relaxed);
-  } else {
-    block(sh, pred).next.store(nb, std::memory_order_relaxed);
+  {
+    SeqWrite w(sl);
+    if (pred == kNil) {
+      sl.head.store(nb, std::memory_order_relaxed);
+    } else {
+      block(sh, pred).next.store(nb, std::memory_order_relaxed);
+    }
+    sl.nversions.fetch_add(1, std::memory_order_relaxed);
   }
-  sl.nversions.fetch_add(1, std::memory_order_relaxed);
-  sl.seq.store(sq + 2, std::memory_order_release);
 
   ++ctx().local.blocks_allocated;
 
@@ -923,18 +918,7 @@ std::uint64_t ConcurrentVersionStore::lock_load_common(OAddr a, bool exact,
     std::uint32_t seq_seen;
     {
       ShardLock g(*this, sh);
-      std::uint32_t cand = kNil;
-      for (std::uint32_t b = sl.head.load(std::memory_order_relaxed);
-           b != kNil;) {
-        CBlock& cb = block(sh, b);
-        const Ver v = cb.version.load(std::memory_order_relaxed);
-        if (exact ? v == key : v <= key) {
-          cand = b;
-          break;
-        }
-        if (exact && v < key) break;
-        b = cb.next.load(std::memory_order_relaxed);
-      }
+      const std::uint32_t cand = find_locked(sh, sl, exact, key).cur;
       if (cand != kNil) {
         CBlock& cb = block(sh, cand);
         if (cb.locked_by.load(std::memory_order_relaxed) == kNoTask) {
@@ -989,16 +973,8 @@ void ConcurrentVersionStore::unlock_version(OAddr a, Ver locked_v,
   }
   {
     ShardLock g(*this, sh);
-    std::uint32_t target = kNil;
-    bool rename_exists = false;
-    for (std::uint32_t b = sl.head.load(std::memory_order_relaxed);
-         b != kNil;) {
-      CBlock& cb = block(sh, b);
-      const Ver v = cb.version.load(std::memory_order_relaxed);
-      if (v == locked_v) target = b;
-      if (rename_to.has_value() && v == *rename_to) rename_exists = true;
-      b = cb.next.load(std::memory_order_relaxed);
-    }
+    const std::uint32_t target =
+        find_locked(sh, sl, /*exact=*/true, locked_v).cur;
     if (target == kNil) {
       throw OFault(FaultKind::kNotLockOwner,
                    "unlock of nonexistent version " +
@@ -1012,19 +988,18 @@ void ConcurrentVersionStore::unlock_version(OAddr a, Ver locked_v,
                        std::to_string(holder) + ", unlock by " +
                        std::to_string(owner));
     }
-    if (rename_exists) {
+    if (rename_to.has_value() &&
+        find_locked(sh, sl, /*exact=*/true, *rename_to).cur != kNil) {
       throw OFault(FaultKind::kRenameTargetExists,
                    std::to_string(*rename_to));
     }
     const std::uint64_t data = cb.data.load(std::memory_order_relaxed);
     // The unlock is a slot mutation parked readers wait for, so it runs
-    // inside a seqlock window (the sequence change is their wake signal;
-    // the fence discipline matches store_locked).
-    const std::uint32_t sq = sl.seq.load(std::memory_order_relaxed);
-    sl.seq.store(sq + 1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-    cb.locked_by.store(kNoTask, std::memory_order_relaxed);
-    sl.seq.store(sq + 2, std::memory_order_release);
+    // inside a seqlock window (the sequence change is their wake signal).
+    {
+      SeqWrite w(sl);
+      cb.locked_by.store(kNoTask, std::memory_order_relaxed);
+    }
     if (tracing()) {
       emit(telemetry::EventType::kLockRelease, OpCode{}, a, locked_v, owner);
     }
@@ -1043,32 +1018,12 @@ void ConcurrentVersionStore::task_created(TaskId t) {
   sched_point(SchedKind::kTaskOp, 0);
   {
     MutexLock g(task_mu_);
-    create_task_locked(t);
+    tasks_.create_checked(t, gc_floor_.load(std::memory_order_acquire));
+    max_task_ = std::max(max_task_, t);
   }
   if (tracing()) {
     emit(telemetry::EventType::kTaskCreated, OpCode{}, 0, t, 0);
   }
-}
-
-void ConcurrentVersionStore::create_task_locked(TaskId t) {
-  // Rules #1 and #3, with the serial engine's exact diagnostics
-  // (GcPolicy::task_created, core/gc_policy.cpp): creation order must
-  // respect age, and a task below the floor could name an
-  // already-reclaimed version.
-  if (!unfinished_.empty() && t < unfinished_.begin()->first) {
-    throw OFault(FaultKind::kTaskOrderViolation,
-                 "task " + std::to_string(t) +
-                     " is older than the oldest unfinished task " +
-                     std::to_string(unfinished_.begin()->first));
-  }
-  const TaskId floor = gc_floor_.load(std::memory_order_acquire);
-  if (t <= floor) {
-    throw OFault(FaultKind::kTaskOrderViolation,
-                 "task " + std::to_string(t) +
-                     " is not above the GC floor " + std::to_string(floor));
-  }
-  unfinished_[t]++;
-  max_task_ = std::max(max_task_, t);
 }
 
 void ConcurrentVersionStore::task_begin(TaskId t) {
@@ -1078,7 +1033,10 @@ void ConcurrentVersionStore::task_begin(TaskId t) {
   }
   {
     MutexLock g(task_mu_);
-    if (unfinished_.find(t) == unfinished_.end()) create_task_locked(t);
+    if (!tasks_.contains(t)) {
+      tasks_.create_checked(t, gc_floor_.load(std::memory_order_acquire));
+      max_task_ = std::max(max_task_, t);
+    }
   }
   ThreadCtx& c = ctx();
   c.cur_task = t;
@@ -1094,18 +1052,11 @@ void ConcurrentVersionStore::task_end(TaskId t) {
   endc.cur_task = kNoTask;
   endc.undo.clear();
   MutexLock g(task_mu_);
-  auto it = unfinished_.find(t);
-  if (it == unfinished_.end()) {
-    throw OFault(FaultKind::kTaskOrderViolation,
-                 "TASK-END for task " + std::to_string(t) +
-                     " which is not running");
-  }
-  if (--it->second == 0) unfinished_.erase(it);
+  tasks_.end_checked(t);
   // Floor: every task strictly below it has finished. With tasks still
   // unfinished that is the smallest of them; otherwise everything created
   // so far is done.
-  const TaskId floor =
-      unfinished_.empty() ? max_task_ + 1 : unfinished_.begin()->first;
+  const TaskId floor = tasks_.empty() ? max_task_ + 1 : tasks_.oldest();
   task_floor_.store(floor, std::memory_order_release);
 }
 
@@ -1131,57 +1082,28 @@ void ConcurrentVersionStore::abort_task(TaskId t) {
     }
     CSlot& sl = *sp;
     Shard& sh = shard_of(e.slot);
-    bool changed = false;
     {
       ShardLock g(*this, sh);
-      std::uint32_t pred = kNil;
-      std::uint32_t cur = sl.head.load(std::memory_order_relaxed);
-      while (cur != kNil) {
-        const Ver v = block(sh, cur).version.load(std::memory_order_relaxed);
-        if (v == e.version) break;
-        if (v < e.version) {
-          cur = kNil;  // sorted newest-first: the version is gone
-          break;
-        }
-        pred = cur;
-        cur = block(sh, cur).next.load(std::memory_order_relaxed);
-      }
-      if (cur == kNil) {
+      const ChainPos at = find_locked(sh, sl, /*exact=*/true, e.version);
+      if (at.cur == kNil) {
         return false;  // reclaimed (or released) before the abort
       }
-      CBlock& cb = block(sh, cur);
+      CBlock& cb = block(sh, at.cur);
       if (e.kind == UndoEntry::Kind::kLock) {
         if (cb.locked_by.load(std::memory_order_relaxed) != t) {
           return false;  // already unlocked (or re-locked by another task)
         }
-        const std::uint32_t sq = sl.seq.load(std::memory_order_relaxed);
-        sl.seq.store(sq + 1, std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_release);
-        cb.locked_by.store(kNoTask, std::memory_order_relaxed);
-        sl.seq.store(sq + 2, std::memory_order_release);
+        {
+          SeqWrite w(sl);
+          cb.locked_by.store(kNoTask, std::memory_order_relaxed);
+        }
         if (tracing()) {
           emit(telemetry::EventType::kLockRelease, OpCode{},
                ostruct_addr(e.slot), e.version, t);
         }
-        changed = true;
       } else {
-        // Unlink the created version. A lock another task took on it dies
-        // with the block — their unlock will fault kNotLockOwner, the
-        // deterministic "you read an aborted version" signal.
         const std::uint64_t epoch =
             global_epoch_.load(std::memory_order_relaxed);
-        const std::uint32_t sq = sl.seq.load(std::memory_order_relaxed);
-        sl.seq.store(sq + 1, std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_release);
-        const std::uint32_t nx = cb.next.load(std::memory_order_relaxed);
-        if (pred == kNil) {
-          sl.head.store(nx, std::memory_order_relaxed);
-        } else {
-          block(sh, pred).next.store(nx, std::memory_order_relaxed);
-        }
-        cb.locked_by.store(kNoTask, std::memory_order_relaxed);
-        sl.nversions.fetch_sub(1, std::memory_order_relaxed);
-        sl.seq.store(sq + 2, std::memory_order_release);
         // Purge shadow-registry entries naming the dead block, plus the
         // entry this store created for its shadowed neighbour — with v
         // gone the neighbour is the live head (or mid-list) again and must
@@ -1191,7 +1113,7 @@ void ConcurrentVersionStore::abort_task(TaskId t) {
         sh.shadowed.erase(
             std::remove_if(sh.shadowed.begin(), sh.shadowed.end(),
                            [&](const Shadowed& x) {
-                             if (x.block == cur) return true;
+                             if (x.block == at.cur) return true;
                              if (x.slot != slot || x.shadower != v) {
                                return false;
                              }
@@ -1205,17 +1127,15 @@ void ConcurrentVersionStore::abort_task(TaskId t) {
                              return true;
                            }),
             sh.shadowed.end());
-        if (tracing()) {
-          emit(telemetry::EventType::kBlockFreed, OpCode{},
-               ostruct_addr(e.slot), e.version, trace_id(sh, cur));
-        }
-        sh.limbo.push_back({cur, epoch});
+        // Unlink the created version. A lock another task took on it dies
+        // with the block — their unlock will fault kNotLockOwner, the
+        // deterministic "you read an aborted version" signal.
+        unlink_locked(sh, sl, slot, at, epoch);
         freed_any = true;
-        changed = true;
       }
     }
-    if (changed) wake(sh);
-    return changed;
+    wake(sh);
+    return true;
   };
   const UndoReplayCounts undone =
       replay_undo_newest_first(c.undo, undo_one, undo_one);
@@ -1244,15 +1164,9 @@ std::optional<std::uint64_t> ConcurrentVersionStore::peek_version(OAddr a,
   Shard& sh = shard_of(slot);
   CSlot& sl = *slot_ptr(slot);
   ShardLock g(*this, sh);
-  for (std::uint32_t b = sl.head.load(std::memory_order_relaxed);
-       b != kNil;) {
-    CBlock& cb = block(sh, b);
-    const Ver cv = cb.version.load(std::memory_order_relaxed);
-    if (cv == v) return cb.data.load(std::memory_order_relaxed);
-    if (cv < v) return std::nullopt;
-    b = cb.next.load(std::memory_order_relaxed);
-  }
-  return std::nullopt;
+  const std::uint32_t b = find_locked(sh, sl, /*exact=*/true, v).cur;
+  if (b == kNil) return std::nullopt;
+  return block(sh, b).data.load(std::memory_order_relaxed);
 }
 
 std::optional<Ver> ConcurrentVersionStore::newest_version(OAddr a) {
@@ -1270,18 +1184,10 @@ std::optional<TaskId> ConcurrentVersionStore::lock_holder(OAddr a, Ver v) {
   Shard& sh = shard_of(slot);
   CSlot& sl = *slot_ptr(slot);
   ShardLock g(*this, sh);
-  for (std::uint32_t b = sl.head.load(std::memory_order_relaxed);
-       b != kNil;) {
-    CBlock& cb = block(sh, b);
-    const Ver cv = cb.version.load(std::memory_order_relaxed);
-    if (cv == v) {
-      const TaskId l = cb.locked_by.load(std::memory_order_relaxed);
-      return l == kNoTask ? std::nullopt : std::optional<TaskId>(l);
-    }
-    if (cv < v) break;
-    b = cb.next.load(std::memory_order_relaxed);
-  }
-  return std::nullopt;
+  const std::uint32_t b = find_locked(sh, sl, /*exact=*/true, v).cur;
+  if (b == kNil) return std::nullopt;
+  const TaskId l = block(sh, b).locked_by.load(std::memory_order_relaxed);
+  return l == kNoTask ? std::nullopt : std::optional<TaskId>(l);
 }
 
 int ConcurrentVersionStore::version_count(OAddr a) {

@@ -53,6 +53,7 @@
 #include "core/address_map.hpp"
 #include "core/engine_trace.hpp"
 #include "core/fault_injection.hpp"
+#include "core/gc_policy.hpp"
 #include "core/isa.hpp"
 #include "core/ostruct_config.hpp"
 #include "core/schedule_point.hpp"
@@ -159,14 +160,6 @@ class ConcurrentVersionStore : public VersionEngine {
   /// or retire it with task_end. Emits kLockRelease / kBlockFreed per
   /// undone entry, then one kTaskAborted event.
   void abort_task(TaskId t) override;
-
- private:
-  /// Checked registration shared by task_created and an implicitly-creating
-  /// task_begin (task_mu_ held). Mirrors GcPolicy::task_created's diagnostics
-  /// (core/gc_policy.cpp).
-  void create_task_locked(TaskId t) OSIM_REQUIRES(task_mu_);
-
- public:
 
   // ---- Protection ----
   bool is_versioned_addr(Addr a) const override;
@@ -310,7 +303,6 @@ class ConcurrentVersionStore : public VersionEngine {
     // Incremented under writer_mu; atomic so stats() may read it without
     // the lock.
     std::atomic<std::uint64_t> reclaimed{0};
-    std::uint64_t allocated OSIM_GUARDED_BY(writer_mu) = 0;
     // Dense trace-wide block ids for checker runs (local ids repeat across
     // shards; the lifecycle checker needs one id space). Lazy, writer_mu.
     std::vector<std::uint32_t> trace_ids OSIM_GUARDED_BY(writer_mu);
@@ -365,6 +357,25 @@ class ConcurrentVersionStore : public VersionEngine {
   // ---- Epoch-based reclamation ----
   struct EpochPin;  // RAII pin defined in the .cpp
   std::uint64_t min_active_epoch() const;
+
+  // ---- Chain primitives (writer_mu held) ----
+  struct SeqWrite;  // RAII seqlock write window defined in the .cpp
+  /// A chain position: `cur` and the block before it (kNil = head).
+  struct ChainPos {
+    std::uint32_t pred = kNil;
+    std::uint32_t cur = kNil;
+  };
+  /// The locked chain walk: stops at the first block holding a version
+  /// <= `key`. Inexact, `cur` is the newest version <= key (kNil if none)
+  /// and {pred, cur} is where version `key` inserts; exact, `cur` is the
+  /// block holding `key`, or kNil when the slot has no such version.
+  ChainPos find_locked(Shard& sh, CSlot& sl, bool exact, Ver key)
+      OSIM_REQUIRES(sh.writer_mu);
+  /// Unlink `at.cur` from slot `slot`'s chain in one write window, drop
+  /// any lock on it and park it in limbo stamped `epoch` (emits
+  /// kBlockFreed).
+  void unlink_locked(Shard& sh, CSlot& sl, std::uint64_t slot, ChainPos at,
+                     std::uint64_t epoch) OSIM_REQUIRES(sh.writer_mu);
 
   // ---- Block pool (writer_mu held) ----
   std::uint32_t alloc_block(Shard& sh) OSIM_REQUIRES(sh.writer_mu);
@@ -452,11 +463,11 @@ class ConcurrentVersionStore : public VersionEngine {
   // Reclamation epoch.
   std::atomic<std::uint64_t> global_epoch_{1};
 
-  // Task tracker (GC fence). task_begin/end are rare next to ISA ops, so a
-  // small mutex-protected map with a lock-free mirror of the floor is fine.
+  // Unfinished tasks (GC fence): the serial engine's tracker
+  // (core/gc_policy.hpp) under one mutex, with a lock-free mirror of the
+  // floor for the reclaim fast path.
   Mutex task_mu_;
-  /// created/begun, not yet ended
-  std::map<TaskId, int> unfinished_ OSIM_GUARDED_BY(task_mu_);
+  GcTaskTracker tasks_ OSIM_GUARDED_BY(task_mu_);  ///< created, not ended
   TaskId max_task_ OSIM_GUARDED_BY(task_mu_) = kNoTask;
   std::atomic<TaskId> task_floor_{0};  ///< all tasks < floor have finished
   /// Mirror of the serial GC floor: once blocks shadowed by version f are

@@ -11,31 +11,37 @@ namespace osim {
 // ---------------------------------------------------------------------------
 // Policy-independent task lifecycle (GC rules #1-#3)
 
-void GcPolicy::task_created(TaskId t) {
-  if (!tasks_.empty() && t < tasks_.oldest()) {
+void GcTaskTracker::create_checked(TaskId t, TaskId floor) {
+  if (!empty() && t < oldest()) {
     throw OFault(FaultKind::kTaskOrderViolation,
                  "task " + std::to_string(t) +
                      " is older than the oldest unfinished task " +
-                     std::to_string(tasks_.oldest()));
+                     std::to_string(oldest()));
   }
-  if (t <= floor_) {
+  if (t <= floor) {
     throw OFault(FaultKind::kTaskOrderViolation,
                  "task " + std::to_string(t) +
-                     " is not above the GC floor " + std::to_string(floor_));
+                     " is not above the GC floor " + std::to_string(floor));
   }
-  tasks_.add(t);
+  add(t);
 }
+
+void GcTaskTracker::end_checked(TaskId t) {
+  if (!remove(t)) {
+    throw OFault(FaultKind::kTaskOrderViolation,
+                 "TASK-END for task " + std::to_string(t) +
+                     " which is not running");
+  }
+}
+
+void GcPolicy::task_created(TaskId t) { tasks_.create_checked(t, floor_); }
 
 void GcPolicy::task_begin(TaskId t) {
   if (!tasks_.contains(t)) task_created(t);
 }
 
 void GcPolicy::task_end(TaskId t) {
-  if (!tasks_.remove(t)) {
-    throw OFault(FaultKind::kTaskOrderViolation,
-                 "TASK-END for task " + std::to_string(t) +
-                     " which is not running");
-  }
+  tasks_.end_checked(t);
   on_task_retired();
 }
 

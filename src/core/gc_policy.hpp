@@ -68,36 +68,53 @@ class GcOwner {
   ~GcOwner() = default;
 };
 
-/// Unfinished-task bookkeeping shared by the policies: create counts in a
-/// FlatMap (O(1) on the per-task hot path) plus a sorted vector of distinct
-/// live ids for the ordered queries (oldest unfinished, any-in-range). The
-/// vector stays small — it holds *unfinished* tasks, not all tasks — and
-/// ids arrive mostly in ascending order, so the sorted insert is usually an
-/// append.
+/// Unfinished-task bookkeeping shared by both engines' GC rules: create
+/// counts in a FlatMap (O(1) on the per-task hot path) plus a sorted vector
+/// of distinct ids for the ordered queries (oldest unfinished,
+/// any-in-range). Ids arrive mostly in ascending order, so the sorted
+/// insert is usually an append. They retire in any order — workers drift
+/// apart — so an ended id stays in the vector as a dead entry (liveness is
+/// the count map) instead of shifting its neighbours: the head skips past
+/// dead entries, and the vector is compacted once dead entries outnumber
+/// live ids, which keeps every removal amortized O(1).
 class GcTaskTracker {
  public:
-  bool empty() const { return ids_.empty(); }
-  std::size_t live() const { return ids_.size(); }
-  TaskId oldest() const { return ids_.front(); }
+  bool empty() const { return counts_.empty(); }
+  std::size_t live() const { return counts_.size(); }
+  TaskId oldest() const { return ids_[head_]; }
   bool contains(TaskId t) const { return counts_.contains(t); }
 
   void add(TaskId t) {
-    if (++counts_[t] == 1) {
-      if (ids_.empty() || ids_.back() < t) {
-        ids_.push_back(t);
-      } else {
-        ids_.insert(std::lower_bound(ids_.begin(), ids_.end(), t), t);
-      }
+    if (++counts_[t] != 1) return;
+    if (ids_.empty() || ids_.back() < t) {
+      ids_.push_back(t);
+      return;
     }
+    const auto it = std::lower_bound(ids_.begin() + head_, ids_.end(), t);
+    if (*it != t) ids_.insert(it, t);  // else it revives t's dead entry
   }
 
   /// Returns false when `t` is not a live task.
   bool remove(TaskId t) {
     int* c = counts_.find(t);
     if (c == nullptr) return false;
-    if (--*c == 0) {
-      counts_.erase(t);
-      ids_.erase(std::lower_bound(ids_.begin(), ids_.end(), t));
+    if (--*c != 0) return true;
+    counts_.erase(t);
+    if (counts_.empty()) {
+      ids_.clear();
+      head_ = 0;
+      return true;
+    }
+    while (!counts_.contains(ids_[head_])) ++head_;
+    if (ids_.size() > 2 * live()) {
+      // Compaction moves fewer entries than there are dead ones, each of
+      // which one removal left behind since the previous compaction.
+      std::size_t n = 0;
+      for (std::size_t i = head_; i < ids_.size(); ++i) {
+        if (counts_.contains(ids_[i])) ids_[n++] = ids_[i];
+      }
+      ids_.resize(n);
+      head_ = 0;
     }
     return true;
   }
@@ -106,25 +123,29 @@ class GcTaskTracker {
   /// [lo, hi) — i.e. when a task that can still read a version `lo`
   /// shadowed by `hi` is unfinished.
   bool any_in(Ver lo, Ver hi) const {
-    auto it = std::lower_bound(ids_.begin(), ids_.end(), lo);
-    return it != ids_.end() && *it < hi;
+    for (auto it = std::lower_bound(ids_.begin() + head_, ids_.end(), lo);
+         it != ids_.end() && *it < hi; ++it) {
+      if (counts_.contains(*it)) return true;
+    }
+    return false;
   }
+
+  /// Checked creation (GC rules #1 and #3), the one diagnostic both engines
+  /// report: throws OFault(kTaskOrderViolation) when `t` is older than the
+  /// oldest unfinished task or not above `floor`, the floor left by
+  /// finished collections.
+  void create_checked(TaskId t, TaskId floor);
+  /// Checked TASK-END: throws OFault(kTaskOrderViolation) for a task that
+  /// is not live.
+  void end_checked(TaskId t);
 
  private:
   FlatMap<TaskId, int> counts_;  ///< unfinished tasks: id -> create count
-  std::vector<TaskId> ids_;      ///< distinct live ids, sorted ascending
+  /// Distinct ids, sorted; [head_, end) starts with a live id and may hold
+  /// dead (ended) ids after it.
+  std::vector<TaskId> ids_;
+  std::size_t head_ = 0;
 };
-
-/// Shared reclamation-eligibility predicate, usable outside the serial
-/// policy objects (the concurrent engine inlines the same decision under
-/// its shard locks against a snapshot of the unfinished-task set).
-/// `sorted_live` must be ascending. A block holding version `v`, shadowed
-/// by `s`, is reclaimable iff this returns false (and it is unlocked).
-inline bool gc_range_has_live_task(const std::vector<TaskId>& sorted_live,
-                                   Ver v, Ver s) {
-  auto it = std::lower_bound(sorted_live.begin(), sorted_live.end(), v);
-  return it != sorted_live.end() && *it < s;
-}
 
 /// The policy seam. Task-lifecycle rules (#1-#3) are policy-independent
 /// and live here; what varies is when a registered shadowed block is

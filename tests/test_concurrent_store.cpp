@@ -10,12 +10,14 @@
 
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/concurrent_store.hpp"
 #include "core/fault.hpp"
 #include "runtime/concurrent.hpp"
+#include "runtime/env.hpp"
 #include "sim/machine.hpp"
 
 namespace osim {
@@ -337,27 +339,64 @@ TEST(ConcurrentStore, WorkerErrorAbortsParkedWaiters) {
   EXPECT_EQ(store.load_version(a, 2), 9u);
 }
 
-// Task bookkeeping mirrors the serial GC rules: creating a task older than
-// the oldest unfinished one faults, TASK-END of an unknown task faults.
+// Task bookkeeping mirrors the serial GC rules with the same diagnostics:
+// creating a task older than the oldest unfinished one, TASK-END of an
+// unknown task, and — once a reclaim has raised the GC floor — creating a
+// task at or below the floor all fault kTaskOrderViolation with the serial
+// functional engine's exact what() text.
+std::vector<std::string> task_order_faults(VersionEngine& eng) {
+  std::vector<std::string> what;
+  auto expect_fault = [&](auto&& op) {
+    try {
+      op();
+      ADD_FAILURE() << "expected kTaskOrderViolation";
+    } catch (const OFault& f) {
+      EXPECT_EQ(f.kind(), FaultKind::kTaskOrderViolation);
+      what.emplace_back(f.what());
+    }
+  };
+  eng.task_created(5);
+  expect_fault([&] { eng.task_created(3); });
+  expect_fault([&] { eng.task_end(99); });
+  eng.task_end(5);
+  // With every task finished, version 1 shadowed by 5 is reclaimed on the
+  // next store's allocation, raising the GC floor to 5 - 1.
+  const OAddr a = eng.alloc(1);
+  eng.store_version(a, 1, 10);
+  eng.store_version(a, 5, 50);
+  eng.store_version(a, 6, 60);
+  expect_fault([&] { eng.task_created(4); });
+  eng.task_created(5);  // just above the floor
+  eng.task_end(5);
+  return what;
+}
+
 TEST(ConcurrentStore, TaskOrderRulesMatchSerialEngine) {
-  ConcurrentVersionStore store;
-  store.task_created(5);
-  try {
-    store.task_created(3);
-    FAIL() << "expected kTaskOrderViolation";
-  } catch (const OFault& f) {
-    EXPECT_EQ(f.kind(), FaultKind::kTaskOrderViolation);
-    EXPECT_NE(std::string(f.what()).find("older than the oldest unfinished"),
-              std::string::npos);
-  }
-  try {
-    store.task_end(99);
-    FAIL() << "expected kTaskOrderViolation";
-  } catch (const OFault& f) {
-    EXPECT_EQ(f.kind(), FaultKind::kTaskOrderViolation);
-    EXPECT_NE(std::string(f.what()).find("which is not running"),
-              std::string::npos);
-  }
+  MachineConfig mcfg;
+  mcfg.backend = BackendKind::kFunctional;
+  // Collect on every allocation, so the serial engine reclaims at the same
+  // store as the concurrent one below.
+  mcfg.ostruct.gc_watermark = mcfg.ostruct.initial_pool_blocks + 1;
+  Env env(mcfg);
+  const std::vector<std::string> serial = task_order_faults(env.engine());
+
+  ConcurrencyConfig cfg;
+  cfg.reclaim_threshold = 1;
+  ConcurrentVersionStore store(cfg);
+  const std::vector<std::string> concurrent = task_order_faults(store);
+
+  EXPECT_EQ(concurrent, serial);
+  ASSERT_EQ(serial.size(), 3u);
+  EXPECT_NE(serial[0].find("task 3 is older than the oldest unfinished task 5"),
+            std::string::npos)
+      << serial[0];
+  EXPECT_NE(serial[1].find("TASK-END for task 99 which is not running"),
+            std::string::npos)
+      << serial[1];
+  EXPECT_NE(serial[2].find("task 4 is not above the GC floor 4"),
+            std::string::npos)
+      << serial[2];
+  EXPECT_EQ(store.stats().blocks_reclaimed, 1u);
 }
 
 // Serial-engine fault parity for the cases the diff test cannot reach

@@ -10,7 +10,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <mutex>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -184,6 +186,153 @@ TEST_F(BoundedGcTest, NoPhaseMachinery) {
   EXPECT_EQ(gc.pending_size(), 0u);
   EXPECT_EQ(gc.fence(), 0u);
   gc.task_end(2);
+}
+
+// ---------------------------------------------------------------------------
+// GcTaskTracker: the unfinished-task set both engines' GC rules read.
+
+TEST(GcTaskTracker, RepeatedCreationCountsUntilLastEnd) {
+  GcTaskTracker tr;
+  tr.add(5);
+  tr.add(5);
+  EXPECT_EQ(tr.live(), 1u);  // one distinct id, created twice
+  EXPECT_TRUE(tr.remove(5));
+  EXPECT_TRUE(tr.contains(5));
+  EXPECT_EQ(tr.oldest(), 5u);
+  EXPECT_TRUE(tr.remove(5));
+  EXPECT_TRUE(tr.empty());
+  EXPECT_FALSE(tr.contains(5));
+  EXPECT_FALSE(tr.remove(5));
+}
+
+TEST(GcTaskTracker, RemovalNearHeadAndNearTail) {
+  GcTaskTracker tr;
+  for (TaskId t = 1; t <= 10; ++t) tr.add(t);
+  EXPECT_TRUE(tr.remove(2));  // next to the head: stays as a dead entry
+  EXPECT_TRUE(tr.remove(9));  // next to the tail: likewise
+  EXPECT_EQ(tr.live(), 8u);
+  EXPECT_EQ(tr.oldest(), 1u);
+  EXPECT_FALSE(tr.any_in(2, 3));
+  EXPECT_FALSE(tr.any_in(9, 10));
+  EXPECT_TRUE(tr.any_in(1, 2));
+  EXPECT_TRUE(tr.any_in(2, 4));  // skips dead 2, finds 3
+  EXPECT_TRUE(tr.any_in(10, 11));
+  EXPECT_TRUE(tr.remove(1));  // the oldest: the head skips dead 2
+  EXPECT_EQ(tr.oldest(), 3u);
+  EXPECT_TRUE(tr.remove(10));  // the newest
+  EXPECT_FALSE(tr.any_in(9, 100));
+  EXPECT_TRUE(tr.remove(5));
+  EXPECT_FALSE(tr.any_in(5, 6));
+  tr.add(5);  // re-creating an ended id revives its entry
+  EXPECT_TRUE(tr.any_in(5, 6));
+  tr.add(2);  // an out-of-order creation lands in sorted position
+  EXPECT_EQ(tr.oldest(), 2u);
+  EXPECT_EQ(tr.live(), 7u);
+  EXPECT_TRUE(tr.any_in(0, 3));
+  EXPECT_FALSE(tr.any_in(0, 2));
+}
+
+TEST(GcTaskTracker, AnyInIsHalfOpen) {
+  GcTaskTracker tr;
+  EXPECT_FALSE(tr.any_in(0, 100));  // empty
+  tr.add(5);
+  EXPECT_TRUE(tr.any_in(5, 6));    // lo is inside
+  EXPECT_FALSE(tr.any_in(4, 5));   // hi is outside
+  EXPECT_FALSE(tr.any_in(6, 10));
+  EXPECT_FALSE(tr.any_in(5, 5));   // empty range
+  EXPECT_TRUE(tr.any_in(0, 100));
+}
+
+TEST(GcTaskTracker, OldestSurvivesHeadCompaction) {
+  GcTaskTracker tr;
+  for (TaskId t = 1; t <= 100; ++t) tr.add(t);
+  // Oldest-first retirement advances the head past a dead prefix that is
+  // compacted once it outgrows the live ids (first when id 51 ends).
+  for (TaskId t = 1; t <= 80; ++t) {
+    ASSERT_EQ(tr.oldest(), t);
+    ASSERT_TRUE(tr.remove(t));
+    ASSERT_EQ(tr.live(), 100u - t);
+  }
+  EXPECT_EQ(tr.oldest(), 81u);
+  for (TaskId t = 101; t <= 110; ++t) tr.add(t);
+  EXPECT_EQ(tr.live(), 30u);
+  for (TaskId t = 81; t <= 109; ++t) {
+    ASSERT_EQ(tr.oldest(), t);
+    ASSERT_TRUE(tr.remove(t));
+  }
+  EXPECT_EQ(tr.oldest(), 110u);
+  EXPECT_TRUE(tr.any_in(110, 111));
+  EXPECT_FALSE(tr.any_in(0, 110));
+  EXPECT_TRUE(tr.remove(110));
+  EXPECT_TRUE(tr.empty());
+  tr.add(7);  // reusable after draining
+  EXPECT_EQ(tr.oldest(), 7u);
+}
+
+/// Creates ids 1..n up front (every 1000th twice), then ends them in
+/// `order(ids, rng)`, checking the tracker against a std::map reference
+/// after every step.
+template <typename Order>
+void check_up_front_against_reference(TaskId n, Order order) {
+  GcTaskTracker tr;
+  std::map<TaskId, int> ref;
+  for (TaskId t = 1; t <= n; ++t) {
+    tr.add(t);
+    ++ref[t];
+    if (t % 1000 == 0) {
+      tr.add(t);
+      ++ref[t];
+    }
+  }
+  std::vector<TaskId> ends;
+  for (const auto& [t, c] : ref) ends.insert(ends.end(), c, t);
+  std::mt19937_64 rng(13);
+  ends = order(std::move(ends), rng);
+  for (const TaskId t : ends) {
+    ASSERT_TRUE(tr.remove(t));
+    if (--ref[t] == 0) ref.erase(t);
+    ASSERT_EQ(tr.live(), ref.size());
+    ASSERT_EQ(tr.contains(t), ref.count(t) == 1);
+    if (ref.empty()) break;
+    ASSERT_EQ(tr.oldest(), ref.begin()->first);
+    const Ver lo = t > 8 ? t - 8 : 0;
+    const auto it = ref.lower_bound(lo);
+    ASSERT_EQ(tr.any_in(lo, t + 8), it != ref.end() && it->first < t + 8)
+        << "after ending " << t;
+  }
+  EXPECT_TRUE(tr.empty());
+  EXPECT_FALSE(tr.remove(1));
+}
+
+TEST(GcTaskTracker, UpFrontCreationNearAscendingEndMatchesReference) {
+  // Each id displaced by up to 16 places from id order.
+  check_up_front_against_reference(
+      120000, [](std::vector<TaskId> ends, std::mt19937_64& rng) {
+        for (std::size_t i = 0; i < ends.size(); i += 16) {
+          std::shuffle(ends.begin() + i,
+                       ends.begin() + std::min(i + 16, ends.size()), rng);
+        }
+        return ends;
+      });
+}
+
+TEST(GcTaskTracker, UpFrontCreationDriftingWorkersMatchesReference) {
+  // The task pools' shape: worker k ends ids = k (mod 3) in ascending
+  // order, and the workers advance at different rates, so most ends land
+  // far from both ends of the live range.
+  check_up_front_against_reference(
+      120000, [](std::vector<TaskId> ends, std::mt19937_64& rng) {
+        std::vector<TaskId> lanes[3];
+        for (const TaskId t : ends) lanes[t % 3].push_back(t);
+        std::size_t pos[3] = {0, 0, 0};
+        std::vector<TaskId> out;
+        std::discrete_distribution<int> pick({6, 3, 1});
+        while (out.size() < ends.size()) {
+          const int k = pick(rng);
+          if (pos[k] < lanes[k].size()) out.push_back(lanes[k][pos[k]++]);
+        }
+        return out;
+      });
 }
 
 // ---------------------------------------------------------------------------

@@ -45,6 +45,29 @@ if [ -n "$shim_bad" ]; then
 fi
 echo "run-lint: no shims (no [[deprecated]], no forwarding headers in src/)"
 
+# Seqlock lint (toolchain-free, always enforced): the concurrent engine
+# opens every seqlock write window through its SeqWrite guard, whose body
+# holds the release fence optimistic readers rely on. A sequence-word
+# store anywhere else in the file is a hand-written window that can drop
+# that fence.
+seq_src=src/core/concurrent_store.cpp
+seq_bad=$(awk '
+  /^struct ConcurrentVersionStore::SeqWrite / { guard = 1 }
+  !guard && /seq\.(store|exchange|fetch_|compare_exchange)/ {
+    print FILENAME ":" FNR ": " $0
+  }
+  guard && /^};/ { guard = 0 }
+' "$seq_src")
+if ! grep -q '^struct ConcurrentVersionStore::SeqWrite ' "$seq_src"; then
+  seq_bad+="${seq_bad:+$'\n'}$seq_src: SeqWrite guard not found"
+fi
+if [ -n "$seq_bad" ]; then
+  echo "run-lint: SEQLOCK — open the write window with SeqWrite instead:"
+  echo "$seq_bad"
+  exit 1
+fi
+echo "run-lint: seqlock OK (every write window in $seq_src is a SeqWrite)"
+
 if ! command -v clang-tidy > /dev/null 2>&1; then
   echo "run-lint: clang-tidy not installed; skipping (install LLVM to lint)"
   exit 0
