@@ -2,10 +2,18 @@
 // and O-structure primitives: fiber switches, cache probes, hierarchy
 // accesses, version-list operations, compressed-line codec, and complete
 // versioned operations. These measure *simulator* throughput (host ns/op),
-// which bounds how much simulated work the figure benches can afford.
+// which bounds how much simulated work the figure benches can afford. The
+// ConcurrentVersionStore benches measure the host engine's own layers: the
+// task lifecycle a pool worker runs per task, and one uncontended
+// LOAD-LATEST.
 #include <benchmark/benchmark.h>
 
+#include <condition_variable>
+#include <cstdint>
+#include <mutex>
+
 #include "core/compressed_line.hpp"
+#include "core/concurrent_store.hpp"
 #include "core/ostructure_manager.hpp"
 #include "core/version_list.hpp"
 #include "sim/cache.hpp"
@@ -141,6 +149,71 @@ void BM_VersionedDirectHit(benchmark::State& state) {
   m.run();
 }
 
+// TASK-BEGIN + TASK-END of an already-created task, the per-task lifecycle
+// cost of a pool worker (the pool creates every task before it runs). Like
+// the pool's home queues, thread w of n runs the ids congruent to w mod n.
+// The ids come in rounds of kRound per thread; between rounds the threads
+// meet, untimed, and the last to arrive creates the next round, so no
+// creation overlaps the timed begin/end pairs.
+void BM_ConcurrentTaskLifecycle(benchmark::State& state) {
+  static ConcurrentVersionStore* store = nullptr;
+  static std::mutex mu;
+  static std::condition_variable cv;
+  static int arrived = 0;
+  static std::uint64_t generation = 0;
+  static TaskId created = 0;  ///< ids 1..created exist
+  if (state.thread_index() == 0) {
+    store = new ConcurrentVersionStore();
+    created = 0;
+  }
+  constexpr TaskId kRound = 4096;
+  const int n = state.threads();
+  const auto w = static_cast<TaskId>(state.thread_index());
+  TaskId next = 0;  // first id of this thread's current round
+  TaskId j = kRound;
+  for (auto _ : state) {
+    if (j == kRound) {
+      state.PauseTiming();
+      {
+        std::unique_lock<std::mutex> lk(mu);
+        const std::uint64_t gen = generation;
+        if (++arrived == n) {
+          const TaskId end = created + kRound * static_cast<TaskId>(n);
+          while (created < end) store->task_created(++created);
+          arrived = 0;
+          ++generation;
+          cv.notify_all();
+        } else {
+          cv.wait(lk, [gen] { return generation != gen; });
+        }
+        next = created - kRound * static_cast<TaskId>(n) + 1 + w;
+      }
+      state.ResumeTiming();
+      j = 0;
+    }
+    const TaskId t = next + j * static_cast<TaskId>(n);
+    store->task_begin(t);
+    store->task_end(t);
+    ++j;
+  }
+  state.SetItemsProcessed(state.iterations());
+  if (state.thread_index() == 0) {
+    delete store;  // every thread has left the loop (end barrier)
+    store = nullptr;
+  }
+}
+
+void BM_ConcurrentLoadLatest(benchmark::State& state) {
+  ConcurrentVersionStore store;
+  const OAddr a = store.alloc();
+  store.store_version(a, 1, 7);
+  store.store_version(a, 2, 9);
+  Ver found = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(store.load_latest(a, 2, &found));
+  }
+}
+
 BENCHMARK(BM_CacheHit);
 BENCHMARK(BM_CacheMissFill);
 BENCHMARK(BM_MemorySystemAccess);
@@ -150,6 +223,14 @@ BENCHMARK(BM_CompressedInstallFind);
 BENCHMARK(BM_VersionedStoreLoad);
 BENCHMARK(BM_VersionedDirectHit);
 BENCHMARK(BM_FiberSwitch);
+// Fixed iteration count: the task trackers' hash maps grow with every id
+// ever inserted (tombstones), so the per-task cost depends on how many
+// tasks a run has created, and runs must create the same number to compare.
+BENCHMARK(BM_ConcurrentTaskLifecycle)
+    ->Iterations(1 << 19)
+    ->Threads(1)
+    ->Threads(3);
+BENCHMARK(BM_ConcurrentLoadLatest);
 
 }  // namespace
 }  // namespace osim

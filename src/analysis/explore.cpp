@@ -31,12 +31,34 @@ namespace {
 // One program thread runs at a time. A thread granted execution at a
 // decision point runs *everything* up to its next announced point (its
 // "segment"); the recorded label names where the segment began. Decision
-// points are: a thread's first scheduling (kThreadStart), shard-mutex
-// acquisition (kShardAcquire), the start of an optimistic read
-// (kSeqReadBegin), task-lifecycle ops (kTaskOp), and resumption of a
-// blocked op (kBlocked). Everything else the engine announces
+// points are: a thread's first scheduling (kThreadStart), every modeled
+// mutex acquisition (kShardAcquire, and the task lifecycle's
+// kStripeAcquire / kCreateAcquire), the start of an optimistic read
+// (kSeqReadBegin), abort_task (kTaskOp), and resumption of a blocked op
+// (kBlocked). Everything else the engine announces
 // (release/retry/wake/epoch/floor) is bookkeeping inside a segment: it
 // never yields, so it needs no decision and is not recorded.
+//
+// A segment may begin while its thread holds a modeled mutex (a creation
+// takes its task's stripe under the creation mutex; a reclaim pass takes
+// the creation mutex under a shard lock), so a thread whose pending
+// acquisition names a held mutex is not a candidate.
+
+/// Modeled mutexes are named by their acquire kind and object, whichever
+/// side of the mutex a point announces.
+std::pair<SchedKind, std::uint64_t> mutex_key(SchedPoint p) {
+  switch (p.kind) {
+    case SchedKind::kShardRelease: return {SchedKind::kShardAcquire, p.obj};
+    case SchedKind::kStripeRelease: return {SchedKind::kStripeAcquire, p.obj};
+    case SchedKind::kCreateRelease: return {SchedKind::kCreateAcquire, p.obj};
+    default: return {p.kind, p.obj};
+  }
+}
+
+bool is_acquire(SchedKind k) {
+  return k == SchedKind::kShardAcquire || k == SchedKind::kStripeAcquire ||
+         k == SchedKind::kCreateAcquire;
+}
 
 class CooperativeScheduler final : public ScheduleHook {
  public:
@@ -99,13 +121,13 @@ class CooperativeScheduler final : public ScheduleHook {
     if (!managed()) return;
     yield(p);
     std::unique_lock<std::mutex> lk(mu_);
-    owner_[p.obj] = tls_tid();
+    owner_[mutex_key(p)] = tls_tid();
   }
 
   void mutex_release(SchedPoint p) override {
     if (!managed()) return;
     std::unique_lock<std::mutex> lk(mu_);
-    auto it = owner_.find(p.obj);
+    auto it = owner_.find(mutex_key(p));
     if (it != owner_.end() && it->second == tls_tid()) owner_.erase(it);
   }
 
@@ -209,11 +231,9 @@ class CooperativeScheduler final : public ScheduleHook {
     for (int i = 0; i < n_; ++i) {
       const ThreadState& t = ts_[static_cast<std::size_t>(i)];
       if (t.state != State::kReady) continue;
-      // Defensive: with no decision points inside shard critical sections
-      // the modeled mutex is never held at a decision, but filter anyway.
-      if (t.pending.kind == SchedKind::kShardAcquire &&
-          owner_.count(t.pending.obj) != 0) {
-        continue;
+      if (is_acquire(t.pending.kind) &&
+          owner_.count(mutex_key(t.pending)) != 0) {
+        continue;  // another thread holds that mutex
       }
       cands.push_back({i, t.pending});
     }
@@ -252,7 +272,8 @@ class CooperativeScheduler final : public ScheduleHook {
   std::mutex mu_;
   std::condition_variable cv_;
   std::vector<ThreadState> ts_;
-  std::map<std::uint64_t, int> owner_;  // modeled shard mutex -> holder
+  /// Modeled mutex (mutex_key) -> holder.
+  std::map<std::pair<SchedKind, std::uint64_t>, int> owner_;
   std::vector<ScheduleStep> steps_;
   int attached_ = 0;
   int done_ = 0;
@@ -553,8 +574,18 @@ ScheduleOutcome run_one(const McProgram& prog, const McOptions& opt,
 // everything the segment can touch. With reclamation inert (gc_active
 // false) a segment touches only its own shard (writes/locks under the
 // shard mutex, optimistic reads, wakes of that shard's waiters); task ops
-// touch only the task tracker. With reclamation active, epochs and the GC
-// floor couple reads, writes and task ops across shards — claim nothing.
+// touch only the task set. A stripe segment reads or writes one stripe
+// (TASK-BEGIN of a live task, TASK-END, or the insert of a creation that
+// already holds the creation mutex), so stripe segments on different
+// stripes commute. A creation segment scans every stripe's published
+// oldest id, and abort_task (kTaskOp) claims nothing. With reclamation
+// active, epochs and the GC floor couple reads, writes and task ops
+// across shards — claim nothing.
+
+bool is_task_kind(SchedKind k) {
+  return k == SchedKind::kTaskOp || k == SchedKind::kStripeAcquire ||
+         k == SchedKind::kCreateAcquire;
+}
 
 bool mc_independent(const ScheduleStep& a, const SchedPoint& b,
                     bool gc_active) {
@@ -562,9 +593,13 @@ bool mc_independent(const ScheduleStep& a, const SchedPoint& b,
     return true;  // segment up to the first announce is thread-local
   }
   if (gc_active) return false;
-  const bool a_task = a.kind == SchedKind::kTaskOp;
-  const bool b_task = b.kind == SchedKind::kTaskOp;
-  if (a_task || b_task) return !(a_task && b_task);
+  const bool a_task = is_task_kind(a.kind);
+  const bool b_task = is_task_kind(b.kind);
+  if (a_task != b_task) return true;  // task set vs shards
+  if (a_task) {
+    return a.kind == SchedKind::kStripeAcquire &&
+           b.kind == SchedKind::kStripeAcquire && a.obj != b.obj;
+  }
   if (a.obj != b.obj) return true;  // different shards commute
   return a.kind == SchedKind::kSeqReadBegin &&
          b.kind == SchedKind::kSeqReadBegin;  // readers commute
@@ -863,7 +898,9 @@ bool parse_kind(const std::string& name, SchedKind* out) {
       SchedKind::kShardRelease, SchedKind::kSeqReadBegin,
       SchedKind::kSeqReadRetry, SchedKind::kBlocked,
       SchedKind::kWake,         SchedKind::kEpochAdvance,
-      SchedKind::kGcFloorRaise, SchedKind::kTaskOp};
+      SchedKind::kGcFloorRaise, SchedKind::kTaskOp,
+      SchedKind::kStripeAcquire, SchedKind::kStripeRelease,
+      SchedKind::kCreateAcquire, SchedKind::kCreateRelease};
   for (SchedKind k : kAll) {
     if (name == to_string(k)) {
       *out = k;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -27,6 +28,9 @@ std::atomic<std::uint64_t> g_store_serial{1};
 
 ConcurrentVersionStore::ConcurrentVersionStore(const ConcurrencyConfig& cfg)
     : cfg_(cfg), serial_(g_store_serial.fetch_add(1)) {
+  static_assert(offsetof(Shard, chunk) % 64 == 0 &&
+                    offsetof(Shard, chunk) >= sizeof(Mutex),
+                "Shard::chunk must not share writer_mu's cache line");
   int n = 1;
   while (n < cfg_.shards) n <<= 1;
   nshards_ = n;
@@ -100,23 +104,35 @@ int ConcurrentVersionStore::ctx_id() {
 // ---------------------------------------------------------------------------
 // Schedule-hook plumbing
 
-ConcurrentVersionStore::ShardLock::ShardLock(ConcurrentVersionStore& s,
-                                             Shard& sh)
-    : s_(s), sh_(sh) {
+ConcurrentVersionStore::HookedLock::HookedLock(ConcurrentVersionStore& s,
+                                               Mutex& mu, SchedPoint acquire,
+                                               SchedKind release)
+    : hook_(s.hook_), mu_(mu), release_{release, acquire.obj} {
   // Modeled acquisition first: the hook returns only once this thread has
   // been granted the (modeled) mutex, so the real lock below never
   // contends under a hook. Hookless: one null-check.
-  if (s.hook_ != nullptr) {
-    s.hook_->mutex_acquire({SchedKind::kShardAcquire, s.shard_index(sh)});
-  }
-  sh.writer_mu.lock();
+  if (hook_ != nullptr) hook_->mutex_acquire(acquire);
+  mu_.lock();
 }
 
-ConcurrentVersionStore::ShardLock::~ShardLock() {
-  sh_.writer_mu.unlock();
-  if (s_.hook_ != nullptr) {
-    s_.hook_->mutex_release({SchedKind::kShardRelease, s_.shard_index(sh_)});
-  }
+ConcurrentVersionStore::HookedLock::HookedLock(ConcurrentVersionStore& s,
+                                               Shard& sh)
+    : HookedLock(s, sh.writer_mu, {SchedKind::kShardAcquire, s.shard_index(sh)},
+                 SchedKind::kShardRelease) {}
+
+ConcurrentVersionStore::HookedLock::HookedLock(ConcurrentVersionStore& s,
+                                               TaskStripe& ts)
+    : HookedLock(s, ts.mu, {SchedKind::kStripeAcquire, s.stripe_index(ts)},
+                 SchedKind::kStripeRelease) {}
+
+ConcurrentVersionStore::HookedLock::HookedLock(ConcurrentVersionStore& s,
+                                               TaskCreation& tc)
+    : HookedLock(s, tc.mu, {SchedKind::kCreateAcquire, 0},
+                 SchedKind::kCreateRelease) {}
+
+ConcurrentVersionStore::HookedLock::~HookedLock() {
+  mu_.unlock();
+  if (hook_ != nullptr) hook_->mutex_release(release_);
 }
 
 ConcurrentVersionStore::ThreadCtx& ConcurrentVersionStore::ctx() {
@@ -135,9 +151,9 @@ struct ConcurrentVersionStore::EpochPin {
   EpochPin(const ConcurrentVersionStore& s, ThreadCtx& tc) : c(tc) {
     std::uint64_t e;
     do {
-      e = s.global_epoch_.load(std::memory_order_seq_cst);
+      e = s.global_epoch_.now.load(std::memory_order_seq_cst);
       c.epoch.store(e, std::memory_order_seq_cst);
-    } while (s.global_epoch_.load(std::memory_order_seq_cst) != e);
+    } while (s.global_epoch_.now.load(std::memory_order_seq_cst) != e);
   }
   ~EpochPin() { c.epoch.store(kIdleEpoch, std::memory_order_release); }
 };
@@ -316,8 +332,9 @@ void ConcurrentVersionStore::release(OAddr base, std::size_t slots) {
     CSlot& sl = *sp;
     Shard& sh = shard_of(s);
     {
-      ShardLock g(*this, sh);
-      const std::uint64_t epoch = global_epoch_.load(std::memory_order_relaxed);
+      HookedLock g(*this, sh);
+      const std::uint64_t epoch =
+          global_epoch_.now.load(std::memory_order_relaxed);
       // One write window empties the chain and clears the versioned bit
       // (readers racing with release retry, then fault on the cleared bit).
       std::uint32_t b;
@@ -345,7 +362,7 @@ void ConcurrentVersionStore::release(OAddr base, std::size_t slots) {
                          [s](const Shadowed& x) { return x.slot == s; }),
           sh.shadowed.end());
     }
-    global_epoch_.fetch_add(1, std::memory_order_seq_cst);
+    global_epoch_.now.fetch_add(1, std::memory_order_seq_cst);
     sched_point(SchedKind::kEpochAdvance, 0);
     // Parked waiters re-check and fault on the cleared versioned bit.
     wake(sh);
@@ -407,12 +424,7 @@ std::uint32_t ConcurrentVersionStore::alloc_block(Shard& sh) {
   return sh.next_fresh++;
 }
 
-// Thread-safety analysis is off for this body only because of the
-// *conditional* task_mu_ acquisition below (std::unique_lock over an
-// option), which the analysis cannot track; the writer_mu requirement is
-// still enforced at every call site via the declaration.
-void ConcurrentVersionStore::maybe_reclaim(Shard& sh)
-    OSIM_NO_THREAD_SAFETY_ANALYSIS {
+void ConcurrentVersionStore::maybe_reclaim(Shard& sh) {
   // Injected GC delay: skip this pass entirely. Callers treat a delayed
   // sweep exactly like an empty one, so pressure just builds until a later
   // consultation lets a pass through.
@@ -428,45 +440,71 @@ void ConcurrentVersionStore::maybe_reclaim(Shard& sh)
   //    shadowed by s is unreachable once no unfinished task id lies in
   //    [v, s) (task ids double as read caps), no matter how old the oldest
   //    unfinished task is — GcTaskTracker::any_in, the serial policy's own
-  //    query.
+  //    query, asked of every task stripe.
   //
   // Either way the eligible blocks are unlinked here (inside a seqlock
   // write window) and then parked in limbo until the epoch grace period
   // also rules out in-flight optimistic readers.
+  //
+  // The pass holds the creation mutex throughout. Task ends may still run,
+  // but they only shrink the unfinished set, so the floor and the range
+  // answers computed below stay conservative; and the gc_floor raise at
+  // the bottom is atomic with the decisions — a task created after this
+  // pass faults out of every reclaimed range, one created before it is in
+  // a stripe and pins its range.
   const bool bounded = cfg_.gc_policy == GcPolicyKind::kBounded;
-  const TaskId floor = task_floor_.load(std::memory_order_acquire);
-  const std::uint64_t epoch = global_epoch_.load(std::memory_order_relaxed);
-  // Bounded mode holds the task tracker's mutex for the whole pass: the
-  // range query needs a stable unfinished set, and the serialization makes
-  // the floor raise at the bottom atomic with the reclaim decision — a task
-  // created after this pass observes the raised gc_floor_ and faults out of
-  // every reclaimed range, while one created before it is in tasks_ and
-  // pins its range. (Lock order writer_mu -> task_mu_ -> trace_mu_ is
-  // acyclic: no path acquires task_mu_ before a shard lock, and the task
-  // lifecycle emits trace events outside task_mu_.)
-  std::unique_lock<Mutex> task_lk;
-  if (bounded) task_lk = std::unique_lock<Mutex>(task_mu_);
+  if (!bounded) {
+    // A paper pass that can retire nothing needs no creation mutex (so it
+    // does not queue behind creations and other shards' passes). Read
+    // without the mutex, the published minima bound the floor from above:
+    // staged ids and creations in flight can only lower it, and ends that
+    // land after this scan are a later pass's work. Skipping a pass is
+    // always safe.
+#if defined(OSIM_MC_SEEDED_BUG) && OSIM_MC_SEEDED_BUG == 3
+    const TaskId hint = creation_.cached_floor.load(std::memory_order_acquire);
+#else
+    const TaskId hint = oldest_unfinished();
+#endif
+    if (std::none_of(sh.shadowed.begin(), sh.shadowed.end(),
+                     [hint](const Shadowed& sd) {
+                       return sd.shadower <= hint;
+                     })) {
+      return;
+    }
+  }
+  const std::uint64_t epoch = global_epoch_.now.load(std::memory_order_relaxed);
+  HookedLock create(*this, creation_);
+  drain_staged();
+#if defined(OSIM_MC_SEEDED_BUG) && OSIM_MC_SEEDED_BUG == 3
+  const TaskId floor = creation_.cached_floor.load(std::memory_order_acquire);
+#else
+  const TaskId floor = bounded ? 0 : task_floor();
+#endif
+  const std::vector<bool> in_use =
+      bounded ? ranges_in_use(sh.shadowed) : std::vector<bool>{};
   std::vector<Shadowed> keep;
   keep.reserve(sh.shadowed.size());
   // A block can carry more than one shadow entry: a mid-list insert
-  // registers it at birth, and if reclamation later promotes it to the
-  // chain head, a head insert shadows it a second time. Retiring it via
-  // one entry must purge the others — a stale entry left pending could
-  // outlive the block's trip through limbo and the free list and then
-  // retire a *live* reallocated incarnation of the same block index.
+  // registers it at birth, and if its newer neighbours later leave the
+  // chain (reclaimed, or rolled back by abort_task), a head insert shadows
+  // it a second time. Retiring it via one entry must purge the others — a
+  // stale entry left pending could outlive the block's trip through limbo
+  // and the free list and then retire a *live* reallocated incarnation of
+  // the same block index. `retiring` marks the blocks retired so far.
+  std::vector<bool>& retiring = sh.retiring;
+  if (retiring.size() < sh.next_fresh) retiring.resize(sh.next_fresh);
   std::vector<std::uint32_t> gone;
-  std::size_t retired = 0;
   Ver max_shadower = 0;
   // First entry whose block was missing from its chain; reported after
   // the pass (see the unreachable branch below).
   std::optional<Shadowed> broken;
-  for (const Shadowed& sd : sh.shadowed) {
-    if (std::find(gone.begin(), gone.end(), sd.block) != gone.end()) {
+  for (std::size_t i = 0; i < sh.shadowed.size(); ++i) {
+    const Shadowed& sd = sh.shadowed[i];
+    if (retiring[sd.block]) {
       continue;  // duplicate entry; the block was retired earlier this pass
     }
     CBlock& cb = block(sh, sd.block);
-    const bool pinned = bounded ? tasks_.any_in(sd.version, sd.shadower)
-                                : sd.shadower > floor;
+    const bool pinned = bounded ? in_use[i] : sd.shadower > floor;
     if (pinned || cb.locked_by.load(std::memory_order_relaxed) != kNoTask) {
       keep.push_back(sd);
       continue;
@@ -489,36 +527,33 @@ void ConcurrentVersionStore::maybe_reclaim(Shard& sh)
       continue;
     }
     unlink_locked(sh, sl, sd.slot, at, epoch);
+    retiring[sd.block] = true;
     gone.push_back(sd.block);
     max_shadower = std::max(max_shadower, sd.shadower);
-    ++retired;
   }
   if (!gone.empty()) {
     // Purge duplicates that were kept before their block's retiring entry
-    // was reached (the `gone` check above only catches later ones).
+    // was reached (the mark check above only catches later ones).
     keep.erase(std::remove_if(keep.begin(), keep.end(),
-                              [&gone](const Shadowed& x) {
-                                return std::find(gone.begin(), gone.end(),
-                                                 x.block) != gone.end();
+                              [&retiring](const Shadowed& x) {
+                                return retiring[x.block];
                               }),
                keep.end());
+    for (const std::uint32_t b : gone) retiring[b] = false;
   }
   sh.shadowed.swap(keep);
-  sh.reclaimed.fetch_add(retired, std::memory_order_relaxed);
-  if (retired != 0) {
+  sh.reclaimed.fetch_add(gone.size(), std::memory_order_relaxed);
+  if (!gone.empty()) {
     // Serial GC floor rule (PaperWatermarkPolicy::finalize in
     // core/gc_policy.cpp): readers of a version shadowed by f have ids
     // < f, so after reclaiming under fence f no task with id <= f-1 may
     // ever be created.
     const TaskId want = max_shadower == 0 ? 0 : max_shadower - 1;
-    TaskId cur = gc_floor_.load(std::memory_order_relaxed);
-    while (cur < want && !gc_floor_.compare_exchange_weak(
-                             cur, want, std::memory_order_acq_rel)) {
-    }
+    creation_.gc_floor = std::max(creation_.gc_floor, want);
     sched_point(SchedKind::kGcFloorRaise, 0);
     // Advance the epoch so the retired batch's grace period can end once
     // every reader active right now has unpinned.
-    global_epoch_.fetch_add(1, std::memory_order_seq_cst);
+    global_epoch_.now.fetch_add(1, std::memory_order_seq_cst);
     sched_point(SchedKind::kEpochAdvance, 0);
   }
   if (broken) {
@@ -749,7 +784,7 @@ ConcurrentVersionStore::ReadOutcome ConcurrentVersionStore::try_read(
 
 ConcurrentVersionStore::ReadOutcome ConcurrentVersionStore::read_serialized(
     Shard& sh, CSlot& sl, bool exact, Ver key, OpCode op, OAddr a) {
-  ShardLock g(*this, sh);
+  HookedLock g(*this, sh);
   ReadOutcome out;
   out.seq = sl.seq.load(std::memory_order_relaxed);
   const std::uint32_t b = find_locked(sh, sl, exact, key).cur;
@@ -898,7 +933,7 @@ void ConcurrentVersionStore::store_version(OAddr a, Ver v,
   Shard& sh = shard_of(slot);
   if (tracing()) emit(telemetry::EventType::kIsaOp, OpCode::kStoreVersion, a, v, 0);
   {
-    ShardLock g(*this, sh);
+    HookedLock g(*this, sh);
     store_locked(sh, sl, slot, v, data);
   }
   wake(sh);
@@ -917,7 +952,7 @@ std::uint64_t ConcurrentVersionStore::lock_load_common(OAddr a, bool exact,
   for (;;) {
     std::uint32_t seq_seen;
     {
-      ShardLock g(*this, sh);
+      HookedLock g(*this, sh);
       const std::uint32_t cand = find_locked(sh, sl, exact, key).cur;
       if (cand != kNil) {
         CBlock& cb = block(sh, cand);
@@ -972,7 +1007,7 @@ void ConcurrentVersionStore::unlock_version(OAddr a, Ver locked_v,
     emit(telemetry::EventType::kIsaOp, OpCode::kUnlockVersion, a, locked_v, 0);
   }
   {
-    ShardLock g(*this, sh);
+    HookedLock g(*this, sh);
     const std::uint32_t target =
         find_locked(sh, sl, /*exact=*/true, locked_v).cur;
     if (target == kNil) {
@@ -1014,50 +1049,146 @@ void ConcurrentVersionStore::unlock_version(OAddr a, Ver locked_v,
 // ---------------------------------------------------------------------------
 // Task lifecycle (GC rules #1-#3)
 
-void ConcurrentVersionStore::task_created(TaskId t) {
-  sched_point(SchedKind::kTaskOp, 0);
-  {
-    MutexLock g(task_mu_);
-    tasks_.create_checked(t, gc_floor_.load(std::memory_order_acquire));
-    max_task_ = std::max(max_task_, t);
+TaskId ConcurrentVersionStore::oldest_unfinished() const {
+  TaskId m = kNoLiveTask;
+  for (const TaskStripe& ts : stripes_) {
+    m = std::min(m, ts.oldest.load(std::memory_order_acquire));
   }
+  return m;
+}
+
+TaskId ConcurrentVersionStore::task_floor() const {
+  // Every live id is <= max_task, so with no task unfinished everything
+  // created so far is done.
+  return std::min(oldest_unfinished(), creation_.max_task + 1);
+}
+
+std::vector<bool> ConcurrentVersionStore::ranges_in_use(
+    const std::vector<Shadowed>& sds) {
+  std::vector<bool> used(sds.size(), false);
+  Ver hi = 0;
+  for (const Shadowed& sd : sds) hi = std::max(hi, sd.shadower);
+  for (TaskStripe& ts : stripes_) {
+    // A stripe whose oldest unfinished id is past every range pins none,
+    // and without creations it stays past them: skip it unlocked.
+    if (ts.oldest.load(std::memory_order_acquire) >= hi) continue;
+    HookedLock g(*this, ts);
+    for (std::size_t i = 0; i < sds.size(); ++i) {
+      if (!used[i]) used[i] = ts.tasks.any_in(sds[i].version, sds[i].shadower);
+    }
+  }
+  return used;
+}
+
+void ConcurrentVersionStore::drain_staged() {
+  if (staged_.empty()) return;
+  // Counting sort by stripe; each group keeps creation order, which is
+  // usually ascending, the tracker's cheap append.
+  std::array<std::size_t, kTaskStripes + 1> start{};
+  for (const TaskId t : staged_) ++start[(t & (kTaskStripes - 1)) + 1];
+  for (std::size_t i = 0; i < kTaskStripes; ++i) start[i + 1] += start[i];
+  std::vector<TaskId> grouped(staged_.size());
+  std::array<std::size_t, kTaskStripes + 1> next = start;
+  for (const TaskId t : staged_) grouped[next[t & (kTaskStripes - 1)]++] = t;
+  for (std::size_t i = 0; i < kTaskStripes; ++i) {
+    if (start[i] == start[i + 1]) continue;
+    TaskStripe& ts = stripes_[i];
+    HookedLock g(*this, ts);
+    for (std::size_t k = start[i]; k < start[i + 1]; ++k) {
+      ts.tasks.add(grouped[k]);
+    }
+    ts.publish();
+  }
+  staged_.clear();
+}
+
+void ConcurrentVersionStore::create_task(TaskId t, bool if_absent) {
+  HookedLock g(*this, creation_);
+  // A task at or above every id created so far cannot be older than an
+  // unfinished one; only an out-of-order creation looks for the oldest,
+  // over the published minima and the staged ids. It looks before any
+  // stripe is taken, so under the schedule hook a segment that holds a
+  // stripe touches no other stripe.
+  std::optional<TaskId> oldest;
+  if (t < creation_.max_task) {
+    TaskId m = oldest_unfinished();
+    for (const TaskId s : staged_) m = std::min(m, s);
+    if (m != kNoLiveTask) oldest = m;
+  }
+  if (if_absent) {
+    drain_staged();  // t may be staged
+    TaskStripe& ts = stripe_of(t);
+    HookedLock sg(*this, ts);
+    if (ts.tasks.contains(t)) return;
+    GcTaskTracker::check_creation(t, oldest, creation_.gc_floor);
+    ts.tasks.add(t);
+    ts.publish();
+  } else {
+    GcTaskTracker::check_creation(t, oldest, creation_.gc_floor);
+    staged_.push_back(t);
+    if (staged_.size() >= kStagedBatch) drain_staged();
+  }
+  creation_.max_task = std::max(creation_.max_task, t);
+}
+
+void ConcurrentVersionStore::task_created(TaskId t) {
+  create_task(t, /*if_absent=*/false);
   if (tracing()) {
     emit(telemetry::EventType::kTaskCreated, OpCode{}, 0, t, 0);
   }
 }
 
 void ConcurrentVersionStore::task_begin(TaskId t) {
-  sched_point(SchedKind::kTaskOp, 0);
   if (tracing()) {
     emit(telemetry::EventType::kIsaOp, OpCode::kTaskBegin, 0, t, 0);
   }
+  TaskStripe& ts = stripe_of(t);
+  bool known;
   {
-    MutexLock g(task_mu_);
-    if (!tasks_.contains(t)) {
-      tasks_.create_checked(t, gc_floor_.load(std::memory_order_acquire));
-      max_task_ = std::max(max_task_, t);
-    }
+    HookedLock g(*this, ts);
+    known = ts.tasks.contains(t);
   }
+  if (!known) create_task(t, /*if_absent=*/true);  // or it was staged
   ThreadCtx& c = ctx();
   c.cur_task = t;
   c.undo.clear();  // a retry must not re-undo the aborted attempt's journal
 }
 
 void ConcurrentVersionStore::task_end(TaskId t) {
-  sched_point(SchedKind::kTaskOp, 0);
   if (tracing()) {
     emit(telemetry::EventType::kIsaOp, OpCode::kTaskEnd, 0, t, 0);
   }
   ThreadCtx& endc = ctx();
   endc.cur_task = kNoTask;
   endc.undo.clear();
-  MutexLock g(task_mu_);
-  tasks_.end_checked(t);
-  // Floor: every task strictly below it has finished. With tasks still
-  // unfinished that is the smallest of them; otherwise everything created
-  // so far is done.
-  const TaskId floor = tasks_.empty() ? max_task_ + 1 : tasks_.oldest();
-  task_floor_.store(floor, std::memory_order_release);
+  TaskStripe& ts = stripe_of(t);
+  bool ended;
+  {
+    HookedLock g(*this, ts);
+    ended = ts.tasks.remove(t);
+    if (ended) ts.publish();
+  }
+  if (!ended) {
+    // Not in its stripe: it may still be staged (else end_checked faults).
+    {
+      HookedLock g(*this, creation_);
+      drain_staged();
+    }
+    HookedLock g(*this, ts);
+    ts.tasks.end_checked(t);
+    ts.publish();
+  }
+#if defined(OSIM_MC_SEEDED_BUG) && OSIM_MC_SEEDED_BUG == 3
+  // Seeded stale-floor bug (model-checking regression fixture, see
+  // tests/test_explore_seeded.cpp): the floor is cached here and read by
+  // maybe_reclaim, as before the stripes. With every task finished it is
+  // max_task + 1, and a task created later below it never lowers it, so a
+  // reclaim pass frees versions that task can still read. osim-mc finds
+  // it via the late_create litmus and the serial oracle.
+  HookedLock g(*this, creation_);
+  drain_staged();
+  creation_.cached_floor.store(task_floor(), std::memory_order_release);
+#endif
 }
 
 void ConcurrentVersionStore::abort_task(TaskId t) {
@@ -1083,7 +1214,7 @@ void ConcurrentVersionStore::abort_task(TaskId t) {
     CSlot& sl = *sp;
     Shard& sh = shard_of(e.slot);
     {
-      ShardLock g(*this, sh);
+      HookedLock g(*this, sh);
       const ChainPos at = find_locked(sh, sl, /*exact=*/true, e.version);
       if (at.cur == kNil) {
         return false;  // reclaimed (or released) before the abort
@@ -1103,7 +1234,7 @@ void ConcurrentVersionStore::abort_task(TaskId t) {
         }
       } else {
         const std::uint64_t epoch =
-            global_epoch_.load(std::memory_order_relaxed);
+            global_epoch_.now.load(std::memory_order_relaxed);
         // Purge shadow-registry entries naming the dead block, plus the
         // entry this store created for its shadowed neighbour — with v
         // gone the neighbour is the live head (or mid-list) again and must
@@ -1146,7 +1277,7 @@ void ConcurrentVersionStore::abort_task(TaskId t) {
   if (freed_any) {
     // Open the unlinked blocks' grace period; they become harvestable once
     // every reader active right now has unpinned.
-    global_epoch_.fetch_add(1, std::memory_order_seq_cst);
+    global_epoch_.now.fetch_add(1, std::memory_order_seq_cst);
     sched_point(SchedKind::kEpochAdvance, 0);
   }
   ++c.local.aborts;
@@ -1163,7 +1294,7 @@ std::optional<std::uint64_t> ConcurrentVersionStore::peek_version(OAddr a,
   const std::uint64_t slot = slot_of(a);
   Shard& sh = shard_of(slot);
   CSlot& sl = *slot_ptr(slot);
-  ShardLock g(*this, sh);
+  HookedLock g(*this, sh);
   const std::uint32_t b = find_locked(sh, sl, /*exact=*/true, v).cur;
   if (b == kNil) return std::nullopt;
   return block(sh, b).data.load(std::memory_order_relaxed);
@@ -1173,7 +1304,7 @@ std::optional<Ver> ConcurrentVersionStore::newest_version(OAddr a) {
   const std::uint64_t slot = slot_of(a);
   Shard& sh = shard_of(slot);
   CSlot& sl = *slot_ptr(slot);
-  ShardLock g(*this, sh);
+  HookedLock g(*this, sh);
   const std::uint32_t b = sl.head.load(std::memory_order_relaxed);
   if (b == kNil) return std::nullopt;
   return block(sh, b).version.load(std::memory_order_relaxed);
@@ -1183,7 +1314,7 @@ std::optional<TaskId> ConcurrentVersionStore::lock_holder(OAddr a, Ver v) {
   const std::uint64_t slot = slot_of(a);
   Shard& sh = shard_of(slot);
   CSlot& sl = *slot_ptr(slot);
-  ShardLock g(*this, sh);
+  HookedLock g(*this, sh);
   const std::uint32_t b = find_locked(sh, sl, /*exact=*/true, v).cur;
   if (b == kNil) return std::nullopt;
   const TaskId l = block(sh, b).locked_by.load(std::memory_order_relaxed);
@@ -1194,7 +1325,7 @@ int ConcurrentVersionStore::version_count(OAddr a) {
   const std::uint64_t slot = slot_of(a);
   Shard& sh = shard_of(slot);
   CSlot& sl = *slot_ptr(slot);
-  ShardLock g(*this, sh);
+  HookedLock g(*this, sh);
   return static_cast<int>(sl.nversions.load(std::memory_order_relaxed));
 }
 
@@ -1203,7 +1334,7 @@ ConcurrentVersionStore::slot_versions(OAddr a) {
   const std::uint64_t slot = slot_of(a);
   Shard& sh = shard_of(slot);
   CSlot& sl = *slot_ptr(slot);
-  ShardLock g(*this, sh);
+  HookedLock g(*this, sh);
   std::vector<std::pair<Ver, std::uint64_t>> out;
   for (std::uint32_t b = sl.head.load(std::memory_order_relaxed);
        b != kNil;) {
@@ -1252,7 +1383,7 @@ ConcurrentVersionStore::check_integrity() {
       continue;
     }
     Shard& sh = shard_of(s);
-    ShardLock g(*this, sh);
+    HookedLock g(*this, sh);
     // Bounded walk with explicit visited tracking: a corrupted chain may
     // be cyclic, so the walk must terminate on the first revisit rather
     // than trusting the list structure it is auditing.

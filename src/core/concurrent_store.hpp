@@ -26,7 +26,15 @@
 //     the bounded-space range rule (unreachable once no unfinished task id
 //     lies in [version, shadower)) — *and* an epoch-based grace period so a
 //     block is never recycled while an optimistic reader may still walk
-//     through it.
+//     through it,
+//   * the unfinished-task set is striped by task id over kTaskStripes
+//     trackers, each with its own mutex and a published oldest id, so
+//     TASK-BEGIN and TASK-END of different tasks share no lock and no
+//     written cache line. Only task creation and the reclaim decision are
+//     serialized (one creation mutex); a created task is staged there and
+//     moved into its stripe in bulk, and the GC floor is computed from the
+//     published minima when a reclaim pass needs it, not cached at
+//     TASK-END.
 //
 // Everything is TSan-followable: all fields shared with lock-free readers
 // are std::atomic, and the seqlock's fences pair acquire/release exactly as
@@ -293,13 +301,18 @@ class ConcurrentVersionStore : public VersionEngine {
   struct alignas(64) Shard {
     Mutex writer_mu;
     // Block pool (chunks appended under writer_mu; pointers atomic for the
-    // readers that chase `next` through them).
-    std::array<std::atomic<CBlock*>, kMaxBlockChunks> chunk{};
+    // readers that chase `next` through them). Every chain walk reads the
+    // first chunk pointers, every store writes writer_mu: the array starts
+    // on a cache line of its own (asserted in the constructor).
+    alignas(64) std::array<std::atomic<CBlock*>, kMaxBlockChunks> chunk{};
     std::atomic<std::uint32_t> nchunks{0};
     std::uint32_t next_fresh OSIM_GUARDED_BY(writer_mu) = 0;  // bump cursor
     std::vector<std::uint32_t> free_list OSIM_GUARDED_BY(writer_mu);
     std::vector<Shadowed> shadowed OSIM_GUARDED_BY(writer_mu);
     std::vector<Retired> limbo OSIM_GUARDED_BY(writer_mu);
+    // maybe_reclaim's per-pass mark of the blocks it retired, indexed by
+    // block; every mark is cleared before the pass returns.
+    std::vector<bool> retiring OSIM_GUARDED_BY(writer_mu);
     // Incremented under writer_mu; atomic so stats() may read it without
     // the lock.
     std::atomic<std::uint64_t> reclaimed{0};
@@ -357,6 +370,78 @@ class ConcurrentVersionStore : public VersionEngine {
   // ---- Epoch-based reclamation ----
   struct EpochPin;  // RAII pin defined in the .cpp
   std::uint64_t min_active_epoch() const;
+  /// The reclamation epoch on a cache line of its own: every EpochPin
+  /// loads it twice, so no written field may share its line.
+  struct alignas(64) EpochClock {
+    std::atomic<std::uint64_t> now{1};
+  };
+  static_assert(sizeof(EpochClock) == 64, "the epoch owns its cache line");
+
+  // ---- Unfinished tasks (GC rules #1-#3) ----
+  static constexpr std::size_t kTaskStripes = 64;  // power of two
+  static constexpr TaskId kNoLiveTask = ~TaskId{0};
+  /// The unfinished tasks whose id is congruent to this stripe's index
+  /// modulo kTaskStripes (the serial engine's tracker, core/gc_policy.hpp),
+  /// plus their oldest id, republished under `mu` after every change and
+  /// read lock-free by the floor scans. Ids enter a stripe only under the
+  /// creation mutex, so while it is held each published value can only
+  /// rise.
+  struct alignas(64) TaskStripe {
+    Mutex mu;
+    GcTaskTracker tasks OSIM_GUARDED_BY(mu);
+    std::atomic<TaskId> oldest{kNoLiveTask};  ///< kNoLiveTask = empty
+
+    void publish() OSIM_REQUIRES(mu) {
+      oldest.store(tasks.empty() ? kNoLiveTask : tasks.oldest(),
+                   std::memory_order_release);
+    }
+  };
+  /// Task creation and the reclaim decision, serialized: a reclaim pass
+  /// holds `mu` from its floor scan until it has raised gc_floor, so no
+  /// task can be created under a floor that pass is acting on.
+  struct alignas(64) TaskCreation {
+    Mutex mu;
+    TaskId max_task OSIM_GUARDED_BY(mu) = kNoTask;  ///< newest ever created
+    /// The serial GC floor: once blocks shadowed by version f are
+    /// reclaimed, creating a task with id <= f-1 faults (it could legally
+    /// name a reclaimed version).
+    TaskId gc_floor OSIM_GUARDED_BY(mu) = 0;
+#if defined(OSIM_MC_SEEDED_BUG) && OSIM_MC_SEEDED_BUG == 3
+    /// Seeded bug 3: the floor cached at TASK-END (see task_end()).
+    std::atomic<TaskId> cached_floor{0};
+#endif
+  };
+  // The seeded-bug build links this engine into code compiled without the
+  // macro, so its extra field must fit the padding.
+  static_assert(sizeof(TaskCreation) == 64, "TaskCreation is one line");
+  TaskStripe& stripe_of(TaskId t) {
+    return stripes_[static_cast<std::size_t>(t & (kTaskStripes - 1))];
+  }
+  std::uint64_t stripe_index(const TaskStripe& ts) const {
+    return static_cast<std::uint64_t>(&ts - stripes_.data());
+  }
+  /// Checked creation of `t` (GC rules #1 and #3) under the creation
+  /// mutex. TASK-CREATED stages `t` (staged_); `if_absent`, the implicit
+  /// creation of TASK-BEGIN, puts it straight into its stripe unless it
+  /// is already live there.
+  void create_task(TaskId t, bool if_absent);
+  /// Move every staged id into its stripe, stripe by stripe, so each
+  /// stripe is locked once and its tracker filled in one go.
+  void drain_staged() OSIM_REQUIRES(creation_.mu);
+  /// Minimum of the published stripe minima (kNoLiveTask when every
+  /// stripe is empty); staged ids are not in it. With the creation mutex
+  /// held the minima only rise, so every task below the result and not
+  /// staged had finished when the scan started; without it the result is
+  /// only an upper bound on the oldest unfinished task.
+  TaskId oldest_unfinished() const;
+  /// The paper's reclamation floor (staged_ drained): every task below
+  /// it has finished.
+  TaskId task_floor() const OSIM_REQUIRES(creation_.mu);
+  /// For the bounded rule (staged_ drained): flags each entry of `sds`
+  /// whose range [version, shadower) holds an unfinished task, querying
+  /// each stripe under its own lock.
+  std::vector<bool> ranges_in_use(const std::vector<Shadowed>& sds)
+      OSIM_REQUIRES(creation_.mu);
 
   // ---- Chain primitives (writer_mu held) ----
   struct SeqWrite;  // RAII seqlock write window defined in the .cpp
@@ -416,23 +501,31 @@ class ConcurrentVersionStore : public VersionEngine {
       OSIM_REQUIRES(sh.writer_mu);
 
   // ---- Schedule-hook plumbing (model checking) ----
-  /// Shard writer lock that routes through the schedule hook: modeled
-  /// acquisition first (the hook grants the mutex), then the real —
-  /// guaranteed uncontended — lock. Hookless builds reduce to a null check
-  /// around std::mutex::lock.
-  class OSIM_SCOPED_CAPABILITY ShardLock {
+  /// An engine mutex (shard writer, task stripe or task creation) that
+  /// routes through the schedule hook: modeled acquisition first (the hook
+  /// grants the mutex), then the real — guaranteed uncontended — lock.
+  /// Hookless builds reduce to a null check around std::mutex::lock.
+  class OSIM_SCOPED_CAPABILITY HookedLock {
    public:
-    ShardLock(ConcurrentVersionStore& s, Shard& sh) OSIM_ACQUIRE(sh.writer_mu);
-    ~ShardLock() OSIM_RELEASE();
+    HookedLock(ConcurrentVersionStore& s, Shard& sh)
+        OSIM_ACQUIRE(sh.writer_mu);
+    HookedLock(ConcurrentVersionStore& s, TaskStripe& ts) OSIM_ACQUIRE(ts.mu);
+    HookedLock(ConcurrentVersionStore& s, TaskCreation& tc)
+        OSIM_ACQUIRE(tc.mu);
+    ~HookedLock() OSIM_RELEASE();
 
-    ShardLock(const ShardLock&) = delete;
-    ShardLock& operator=(const ShardLock&) = delete;
+    HookedLock(const HookedLock&) = delete;
+    HookedLock& operator=(const HookedLock&) = delete;
 
    private:
-    ConcurrentVersionStore& s_;
-    Shard& sh_;
+    HookedLock(ConcurrentVersionStore& s, Mutex& mu, SchedPoint acquire,
+               SchedKind release) OSIM_ACQUIRE(mu);
+
+    ScheduleHook* hook_;
+    Mutex& mu_;
+    SchedPoint release_;
   };
-  friend class ShardLock;
+  friend class HookedLock;
 
   /// Bookkeeping/decision announcement; single branch with no hook.
   void sched_point(SchedKind k, std::uint64_t obj) {
@@ -460,20 +553,25 @@ class ConcurrentVersionStore : public VersionEngine {
   std::atomic<int> nctx_{0};
   const std::uint64_t serial_;  ///< distinguishes stores in thread-local maps
 
-  // Reclamation epoch.
-  std::atomic<std::uint64_t> global_epoch_{1};
+  EpochClock global_epoch_;
 
-  // Unfinished tasks (GC fence): the serial engine's tracker
-  // (core/gc_policy.hpp) under one mutex, with a lock-free mirror of the
-  // floor for the reclaim fast path.
-  Mutex task_mu_;
-  GcTaskTracker tasks_ OSIM_GUARDED_BY(task_mu_);  ///< created, not ended
-  TaskId max_task_ OSIM_GUARDED_BY(task_mu_) = kNoTask;
-  std::atomic<TaskId> task_floor_{0};  ///< all tasks < floor have finished
-  /// Mirror of the serial GC floor: once blocks shadowed by version f are
-  /// reclaimed, creating a task with id <= f-1 faults (it could legally
-  /// name a reclaimed version).
-  std::atomic<TaskId> gc_floor_{0};
+  // Unfinished tasks (GC fence). Lock order: writer_mu -> creation_.mu ->
+  // a stripe's mu -> trace_mu_.
+  std::array<TaskStripe, kTaskStripes> stripes_;
+  TaskCreation creation_;
+  /// Tasks created but not yet in their stripe. TASK-CREATED only appends
+  /// here, so a burst of creations (a pool's setup) costs one lock and
+  /// one append each, and each stripe's lock and lines are paid once per
+  /// drain instead of once per task. Whoever needs every unfinished task
+  /// in its stripe drains it first: a reclaim pass, TASK-BEGIN's implicit
+  /// creation, and a TASK-END that misses its stripe. An out-of-order
+  /// creation reads the staged ids where they are.
+  std::vector<TaskId> staged_ OSIM_GUARDED_BY(creation_.mu);
+  /// TASK-CREATED drains at this many staged ids: about 64 per stripe, and
+  /// it bounds what a TASK-BEGIN after a long burst has to drain (drained
+  /// all at once, 120k ids stalled the first begin for milliseconds and
+  /// raised engine_disjoint's p99 task latency).
+  static constexpr std::size_t kStagedBatch = 4096;
 
   std::atomic<bool> stop_{false};
 

@@ -12,18 +12,24 @@ namespace osim {
 // Policy-independent task lifecycle (GC rules #1-#3)
 
 void GcTaskTracker::create_checked(TaskId t, TaskId floor) {
-  if (!empty() && t < oldest()) {
+  check_creation(t, empty() ? std::nullopt : std::optional<TaskId>(oldest()),
+                 floor);
+  add(t);
+}
+
+void GcTaskTracker::check_creation(TaskId t, std::optional<TaskId> oldest,
+                                   TaskId floor) {
+  if (oldest && t < *oldest) {
     throw OFault(FaultKind::kTaskOrderViolation,
                  "task " + std::to_string(t) +
                      " is older than the oldest unfinished task " +
-                     std::to_string(oldest()));
+                     std::to_string(*oldest));
   }
   if (t <= floor) {
     throw OFault(FaultKind::kTaskOrderViolation,
                  "task " + std::to_string(t) +
                      " is not above the GC floor " + std::to_string(floor));
   }
-  add(t);
 }
 
 void GcTaskTracker::end_checked(TaskId t) {

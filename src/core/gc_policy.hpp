@@ -41,6 +41,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/flat_map.hpp"
@@ -135,6 +136,11 @@ class GcTaskTracker {
   /// oldest unfinished task or not above `floor`, the floor left by
   /// finished collections.
   void create_checked(TaskId t, TaskId floor);
+  /// create_checked's two checks without the insert, for a caller that
+  /// keeps its unfinished set elsewhere: `oldest` is the oldest unfinished
+  /// task, or nullopt when none is.
+  static void check_creation(TaskId t, std::optional<TaskId> oldest,
+                             TaskId floor);
   /// Checked TASK-END: throws OFault(kTaskOrderViolation) for a task that
   /// is not live.
   void end_checked(TaskId t);

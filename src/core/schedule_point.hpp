@@ -1,7 +1,8 @@
 // SchedulePoint: the concurrent engine's scheduling seam.
 //
 // ConcurrentVersionStore announces every scheduling-relevant transition —
-// shard-mutex acquire/release, optimistic seqlock read begin/retry,
+// shard, task-stripe and task-creation mutex acquire/release, optimistic
+// seqlock read begin/retry,
 // park/unpark of a blocked op, reclamation epoch advances, GC floor raises
 // — through this interface, exactly the way VersionStore announces timing
 // effects through TimingModel and reclamation decisions through GcPolicy.
@@ -21,12 +22,15 @@
 //   * Calls arrive from the store's registered program threads *and* from
 //     host-side driver threads (alloc/release/inspection). A hook must
 //     pass through calls from threads it does not manage.
-//   * mutex_acquire() is called INSTEAD of contending on the real shard
+//   * mutex_acquire() is called INSTEAD of contending on a real engine
 //     mutex: the hook returns only when the modeled mutex is free and the
 //     calling thread has been granted it; the engine then takes the real
 //     (now uncontended) mutex. mutex_release() is called after the real
-//     unlock. The shard writer mutex is the only modeled mutex — it is
-//     the only one whose critical sections contain schedule points.
+//     unlock. Three mutex families are modeled — the shard writer mutexes,
+//     the task stripes and the task-creation mutex — identified by the
+//     acquire kind plus `obj`. A critical section may acquire a further
+//     modeled mutex (lock order shard -> creation -> stripe), so a hook
+//     must not grant a mutex another thread holds.
 //   * block() replaces the engine's spin-then-park wait entirely. A true
 //     return means "rescheduled after a wake; re-examine the slot". A
 //     false return means the scheduler proved no other thread can make
@@ -51,7 +55,11 @@ enum class SchedKind : std::uint8_t {
   kWake,          ///< store/unlock/release signalled the shard (obj = shard)
   kEpochAdvance,  ///< reclamation grace epoch advanced (obj = 0)
   kGcFloorRaise,  ///< reclaim raised the GC floor (obj = 0)
-  kTaskOp,        ///< task_created / task_begin / task_end (obj = 0)
+  kTaskOp,        ///< abort_task (obj = 0)
+  kStripeAcquire,  ///< about to take a task-stripe mutex (obj = stripe)
+  kStripeRelease,  ///< task-stripe mutex released (obj = stripe)
+  kCreateAcquire,  ///< about to take the task-creation mutex (obj = 0)
+  kCreateRelease,  ///< task-creation mutex released (obj = 0)
 };
 
 inline const char* to_string(SchedKind k) {
@@ -66,12 +74,16 @@ inline const char* to_string(SchedKind k) {
     case SchedKind::kEpochAdvance: return "epoch-advance";
     case SchedKind::kGcFloorRaise: return "gc-floor-raise";
     case SchedKind::kTaskOp: return "task-op";
+    case SchedKind::kStripeAcquire: return "stripe-acquire";
+    case SchedKind::kStripeRelease: return "stripe-release";
+    case SchedKind::kCreateAcquire: return "create-acquire";
+    case SchedKind::kCreateRelease: return "create-release";
   }
   return "?";
 }
 
 /// One announced transition: what kind, on which object (shard index for
-/// shard-scoped kinds, 0 for global ones).
+/// shard-scoped kinds, stripe index for stripe kinds, 0 for global ones).
 struct SchedPoint {
   SchedKind kind;
   std::uint64_t obj;

@@ -78,6 +78,14 @@ analysis::McOp mc_load(std::uint64_t slot, Ver v) {
   return op;
 }
 
+analysis::McOp mc_load_latest(std::uint64_t slot, Ver cap) {
+  analysis::McOp op;
+  op.op = OpCode::kLoadLatest;
+  op.slot = slot;
+  op.cap = cap;
+  return op;
+}
+
 analysis::McOp mc_lock(std::uint64_t slot, Ver v, TaskId locker) {
   analysis::McOp op;
   op.op = OpCode::kLockLoadVersion;
@@ -208,6 +216,37 @@ std::vector<analysis::McProgram> mc_litmus_programs() {
         {mc_store(0, 2)},
         {mc_store(1, 2)},
         {mc_store(2, 2)},
+    };
+    progs.push_back(std::move(p));
+  }
+
+  {
+    // A task created after every earlier task has finished. Thread 0's
+    // task 10 shadows version 1 of slot 0 and ends, then raises a flag in
+    // the other shard; thread 1 waits for the flag, so its task 3 is
+    // created with no task unfinished (legal: the GC floor is still 0),
+    // and its store to slot 2 runs a reclaim pass on slot 0's shard.
+    // Task 3 can read version 1, so the pass must keep it: the floor is
+    // the oldest unfinished task (3), not one past the newest task that
+    // ever finished (11). The serial oracle never collects, so every
+    // schedule must read version 1. The seeded build
+    // (OSIM_MC_SEEDED_BUG=3) caches the floor at TASK-END, reclaims
+    // version 1 and leaves the load waiting for a version nothing stores.
+    analysis::McProgram p;
+    p.name = "late_create";
+    p.summary = "task created after all tasks ended keeps its versions";
+    p.nslots = 3;  // slots 0 and 2 share shard 0, the flag (1) is shard 1
+    p.cfg = mc_cfg(/*shards=*/2, /*program_threads=*/2);
+    p.cfg.reclaim_threshold = 1;
+    p.cfg.gc_policy = GcPolicyKind::kPaper;
+    p.gc_active = true;
+    p.compare_final_state = false;  // reclamation timing legally varies
+    p.setup = {mc_store(0, 1)};
+    p.threads = {
+        {mc_task(OpCode::kTaskBegin, 10), mc_store(0, 10),
+         mc_task(OpCode::kTaskEnd, 10), mc_store(1, 1)},
+        {mc_load(1, 1), mc_task(OpCode::kTaskBegin, 3), mc_store(2, 3),
+         mc_load_latest(0, 3)},
     };
     progs.push_back(std::move(p));
   }

@@ -115,6 +115,61 @@ TEST(Explore, GcFenceCleanOnCorrectEngine) {
                                     << res.example.violation_detail;
 }
 
+// A task created after every earlier task ended must keep the versions
+// it can read: the reclaim pass computes its floor from the unfinished
+// tasks, so task 3 reads version 1 in every schedule, like the oracle.
+// (The seeded build caches the floor at TASK-END; see
+// test_explore_seeded.cpp.)
+TEST(Explore, LateCreateCleanOnCorrectEngine) {
+  for (const bool por : {true, false}) {
+    McOptions opt;
+    opt.por = por;
+    ExploreResult res = explore(litmus("late_create"), opt);
+    EXPECT_TRUE(res.complete);
+    EXPECT_FALSE(res.violation_found) << res.example.violation_kind << ": "
+                                      << res.example.violation_detail;
+    ASSERT_EQ(res.first.results.size(), 2u);
+    ASSERT_EQ(res.first.results[1].size(), 4u);
+    EXPECT_EQ(res.first.results[1][3].tag, 'v');
+    EXPECT_EQ(res.first.results[1][3].got, 1u);
+  }
+}
+
+// TASK-BEGIN and TASK-END of tasks on different stripes take different
+// stripe mutexes and commute, so sleep sets prune the task-only program;
+// every schedule still agrees with the oracle.
+TEST(Explore, TaskOpsOnDifferentStripesCommute) {
+  McProgram p;
+  p.name = "task_stripes";
+  p.cfg.shards = 1;
+  p.cfg.max_threads = 3;
+  auto task = [](OpCode which, TaskId t) {
+    McOp op;
+    op.op = which;
+    op.task = t;
+    return op;
+  };
+  // Created up front, so the threads' TASK-BEGINs never reach creation.
+  p.setup = {task(OpCode::kTaskBegin, 1), task(OpCode::kTaskBegin, 2)};
+  p.threads = {
+      {task(OpCode::kTaskBegin, 1), task(OpCode::kTaskEnd, 1)},
+      {task(OpCode::kTaskBegin, 2), task(OpCode::kTaskEnd, 2)},
+  };
+  McOptions por;
+  McOptions naive;
+  naive.por = false;
+  ExploreResult rp = explore(p, por);
+  ExploreResult rn = explore(p, naive);
+  EXPECT_TRUE(rp.complete);
+  EXPECT_TRUE(rn.complete);
+  EXPECT_FALSE(rp.violation_found) << rp.example.violation_kind << ": "
+                                   << rp.example.violation_detail;
+  EXPECT_FALSE(rn.violation_found) << rn.example.violation_kind << ": "
+                                   << rn.example.violation_detail;
+  EXPECT_LT(rp.schedules, rn.schedules)
+      << "POR explored " << rp.schedules << " vs naive " << rn.schedules;
+}
+
 // Registration overflow on the clean engine is an orderly engine error,
 // not a bound violation.
 TEST(Explore, CtxBoundCleanOnCorrectEngine) {

@@ -1,9 +1,11 @@
 // Seeded-bug regression: this binary links a concurrent engine compiled
 // with OSIM_MC_SEEDED_BUG (1 = the PR-6 alloc-after-walk reclaim race,
-// 2 = the PR-6 context-registration overshoot), and asserts that
-// exhaustive exploration of the matching litmus *finds* a violating
-// schedule — i.e. the harness would have caught both shipped bugs — and
-// that the recorded schedule replays to a byte-identical reproduction.
+// 2 = the PR-6 context-registration overshoot, 3 = the GC floor cached at
+// TASK-END, which a task created after every task ended does not lower),
+// and asserts that exhaustive exploration of the matching litmus *finds*
+// a violating schedule — i.e. the harness would have caught each of these
+// bugs — and that the recorded schedule replays to a byte-identical
+// reproduction.
 //
 // The build recompiles src/core/concurrent_store.cpp into this
 // executable with the macro set; the linker prefers those definitions
@@ -16,7 +18,7 @@
 #include "workloads/opstream.hpp"
 
 #if !defined(OSIM_MC_SEEDED_BUG)
-#error "test_explore_seeded.cpp requires -DOSIM_MC_SEEDED_BUG=1|2"
+#error "test_explore_seeded.cpp requires -DOSIM_MC_SEEDED_BUG=1|2|3"
 #endif
 
 namespace osim::analysis {
@@ -33,6 +35,11 @@ constexpr SeedCase kCase =
     // hands back the block the walk chose as the insert position, forging
     // a self-loop that chain-integrity auditing flags.
     {"gc_fence", "integrity"};
+#elif OSIM_MC_SEEDED_BUG == 3
+    // Stale floor: the reclaim pass of task 3's store frees version 1,
+    // which task 3 can still read, so its LOAD-LATEST faults where the
+    // serial oracle returns version 1.
+    {"late_create", "outcome-divergence"};
 #else
     // fetch_add past max_threads: the bound audit sees more registered
     // contexts than the configuration admits.

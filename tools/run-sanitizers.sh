@@ -49,7 +49,7 @@ echo "== ASan+UBSan: osim-mc exhaustive exploration =="
 # misuse or UB in the store shows up here first. Replay of the committed
 # fixture also pins the scheduler's own bookkeeping under ASan.
 cmake --build --preset asan-ubsan -j "$jobs" --target osim-mc
-for prog in mp2 lock_handoff wide3 gc_fence ctx_bound deadlock_pair; do
+for prog in mp2 lock_handoff wide3 gc_fence ctx_bound late_create deadlock_pair; do
   ./build-asan-ubsan/tools/osim-mc --program "$prog" --mode naive
 done
 ./build-asan-ubsan/tools/osim-mc --replay tools/testdata/mc_mp2.sched
@@ -95,7 +95,9 @@ echo "== TSan: concurrent engine (seqlock + epoch reclamation) =="
 # with lock-free readers is std::atomic and the seqlock fences pair
 # acquire/release. The stress test hammers optimistic readers against
 # writers, lock hand-offs, and block reclamation on real host threads,
-# which is exactly the code TSan can follow (no fibers anywhere).
+# which is exactly the code TSan can follow (no fibers anywhere); its
+# lifecycle stress races task creation, TASK-BEGIN/TASK-END on the task
+# stripes and reclaim passes reading the stripes' published minima.
 cmake --build --preset tsan -j "$jobs" --target test_concurrent_store
 ./build-tsan/tests/test_concurrent_store
 # The GcPolicy differential: the bounded range rule deciding reclaims
@@ -103,6 +105,9 @@ cmake --build --preset tsan -j "$jobs" --target test_concurrent_store
 # functional-backend stress, which is fiber-free and TSan-safe too).
 cmake --build --preset tsan -j "$jobs" --target test_gc_policy
 ./build-tsan/tests/test_gc_policy
+# abort_task rollback on real threads, including the pool's retry soak.
+cmake --build --preset tsan -j "$jobs" --target test_abort
+./build-tsan/tests/test_abort
 
 echo
 echo "== TSan: VersionEngine facade conformance (concurrent cells) =="
