@@ -341,11 +341,12 @@ CellResult run_concurrent_cell(const std::vector<ScriptOp>& script,
       bench::Json::number(st.blocks_reclaimed);
   if (cfg.track_aborts) {
     const RecoveryStats rs = pool.recovery_stats();
-    r.metrics["concurrent/aborts"] = bench::Json::number(st.aborts);
+    r.metrics["concurrent/aborts"] =
+        bench::Json::number(st.aborts.tasks_aborted);
     r.metrics["concurrent/aborted_blocks"] =
-        bench::Json::number(st.aborted_blocks);
+        bench::Json::number(st.aborts.aborted_blocks);
     r.metrics["concurrent/aborted_locks"] =
-        bench::Json::number(st.aborted_locks);
+        bench::Json::number(st.aborts.aborted_locks);
     r.metrics["concurrent/retries"] = bench::Json::number(rs.retries);
     r.metrics["concurrent/giveups"] = bench::Json::number(rs.giveups);
     r.metrics["concurrent/backoff_us"] = bench::Json::number(rs.backoff_us);

@@ -1034,6 +1034,14 @@ ReplayFile parse_schedule(const std::string& text) {
   return f;
 }
 
+void inject_faults(McProgram& p, const std::string& spec) {
+  if (spec.empty()) return;
+  p.cfg.inject_spec = spec;
+  p.use_oracle = false;
+  p.compare_final_state = false;
+  p.expect_engine_errors = true;
+}
+
 ScheduleOutcome replay_schedule(const McProgram& prog, const McOptions& opt,
                                 const ReplayFile& file) {
   if (file.program != prog.name) {
@@ -1053,15 +1061,9 @@ ScheduleOutcome replay_schedule(const McProgram& prog, const McOptions& opt,
   }
   McOptions ropt = opt;
   ropt.checked = file.checked;  // the mode shapes the schedule space
-  // An injected schedule replays under the recorded plan; its faults are
-  // part of the outcome, which no longer matches the uninjected oracle.
+  // An injected schedule replays under the recorded plan.
   McProgram rprog = prog;
-  if (!file.inject.empty()) {
-    rprog.cfg.inject_spec = file.inject;
-    rprog.use_oracle = false;
-    rprog.compare_final_state = false;
-    rprog.expect_engine_errors = true;
-  }
+  inject_faults(rprog, file.inject);
   std::string diverged;
   auto chooser =
       [&](std::size_t step,

@@ -84,6 +84,11 @@ struct McProgram {
   bool expect_engine_errors = false;
 };
 
+/// Run `p` under fault plan `spec` (no-op when empty). Per-op results then
+/// vary by schedule, so outcome comparison (oracle and self-reference) is
+/// off; chain integrity and, when checked, the protocol invariants hold.
+void inject_faults(McProgram& p, const std::string& spec);
+
 /// Deterministic payload for version `v` of `slot` (never 0, so McOp::data
 /// == 0 can mean "default"). Both the concurrent run and the oracle store
 /// these values, making read results comparable across engines.

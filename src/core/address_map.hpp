@@ -71,6 +71,18 @@ constexpr Addr ostruct_addr(std::uint64_t slot) {
   return kOStructBase + 8 * slot;
 }
 
+/// ostruct_slot's answer for an address that is not a slot word.
+inline constexpr std::uint64_t kNoSlot = ~std::uint64_t{0};
+
+/// Inverse of ostruct_addr: the slot whose word is `a`, or kNoSlot when
+/// `a` is not an 8-byte word of the O-structure region. Both engines
+/// resolve addresses through it; kNoSlot fails every bounds check.
+constexpr std::uint64_t ostruct_slot(Addr a) {
+  return a < kOStructBase || (a - kOStructBase) % 8 != 0
+             ? kNoSlot
+             : (a - kOStructBase) / 8;
+}
+
 /// Synthetic L1 line address of slot `slot`'s compressed version blocks.
 constexpr Addr compressed_addr(std::uint64_t slot) {
   return kCompressedBase + static_cast<Addr>(kLineBytes) * slot;

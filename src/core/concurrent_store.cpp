@@ -24,6 +24,21 @@ struct TlsBinding {
 thread_local std::vector<TlsBinding> t_bindings;
 std::atomic<std::uint64_t> g_store_serial{1};
 
+[[noreturn]] void fault_too_many_threads(int max_threads) {
+  throw std::runtime_error(
+      "ConcurrentVersionStore: thread registrations exceed "
+      "ConcurrencyConfig::max_threads (" +
+      std::to_string(max_threads) + ")");
+}
+
+/// A parked op unwound by request_stop(), under the hook or in a real park.
+[[noreturn]] void fault_stopped(OpCode op, Ver v, TaskId task) {
+  throw OFault(FaultKind::kWouldBlock,
+               "run aborted while " + std::string(to_string(op)) +
+                   " of version " + std::to_string(v) + " by task " +
+                   std::to_string(task) + " was parked");
+}
+
 }  // namespace
 
 ConcurrentVersionStore::ConcurrentVersionStore(const ConcurrencyConfig& cfg)
@@ -73,24 +88,14 @@ int ConcurrentVersionStore::ctx_id() {
   // end of ctxs_. osim-mc flags it as a registered_threads() bound
   // violation on every schedule of the ctx_bound litmus.
   const int id = nctx_.fetch_add(1, std::memory_order_acq_rel);
-  if (id >= cfg_.max_threads) {
-    throw std::runtime_error(
-        "ConcurrentVersionStore: thread registrations exceed "
-        "ConcurrencyConfig::max_threads (" +
-        std::to_string(cfg_.max_threads) + ")");
-  }
+  if (id >= cfg_.max_threads) fault_too_many_threads(cfg_.max_threads);
 #else
   // Bounded CAS: nctx_ must never exceed max_threads even transiently —
   // min_active_epoch() and stats() iterate ctxs_[0..nctx_), so an
   // over-incremented count would send them past the end of the array.
   int id = nctx_.load(std::memory_order_relaxed);
   for (;;) {
-    if (id >= cfg_.max_threads) {
-      throw std::runtime_error(
-          "ConcurrentVersionStore: thread registrations exceed "
-          "ConcurrencyConfig::max_threads (" +
-          std::to_string(cfg_.max_threads) + ")");
-    }
+    if (id >= cfg_.max_threads) fault_too_many_threads(cfg_.max_threads);
     if (nctx_.compare_exchange_weak(id, id + 1, std::memory_order_acq_rel,
                                     std::memory_order_relaxed)) {
       break;
@@ -165,6 +170,11 @@ std::uint64_t ConcurrentVersionStore::min_active_epoch() const {
     m = std::min(m, ctxs_[i].epoch.load(std::memory_order_seq_cst));
   }
   return m;
+}
+
+void ConcurrentVersionStore::advance_epoch() {
+  global_epoch_.now.fetch_add(1, std::memory_order_seq_cst);
+  sched_point(SchedKind::kEpochAdvance, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -246,47 +256,24 @@ ConcurrentVersionStore::CSlot* ConcurrentVersionStore::slot_ptr(
   return &chunk[slot & (kSlotChunkSize - 1)];
 }
 
-std::uint64_t ConcurrentVersionStore::slot_of(OAddr a) const {
-  if (a < kOStructBase || (a - kOStructBase) % 8 != 0) fault_unversioned(a);
-  const std::uint64_t slot = (a - kOStructBase) / 8;
-  const CSlot* sp = slot_ptr(slot);
-  if (sp == nullptr || sp->allocated.load(std::memory_order_acquire) == 0) {
-    fault_unversioned(a);
-  }
-  return slot;
+ConcurrentVersionStore::CSlot* ConcurrentVersionStore::live_slot(
+    std::uint64_t slot) const {
+  CSlot* sp = slot_ptr(slot);
+  return sp != nullptr && sp->allocated.load(std::memory_order_acquire) != 0
+             ? sp
+             : nullptr;
 }
 
-void ConcurrentVersionStore::fault_unversioned(OAddr a) const {
-  if (a < kOStructBase || (a - kOStructBase) % 8 != 0) {
-    throw OFault(FaultKind::kVersionedAccessToUnversionedPage,
-                 "address " + std::to_string(a) +
-                     " is outside the versioned region");
-  }
-  throw OFault(FaultKind::kVersionedAccessToUnversionedPage,
-               "slot " + std::to_string((a - kOStructBase) / 8) +
-                   " is not allocated");
-}
-
-bool ConcurrentVersionStore::is_versioned_addr(Addr a) const {
-  if (a < kOStructBase || (a - kOStructBase) % 8 != 0) return false;
-  const CSlot* sp = slot_ptr((a - kOStructBase) / 8);
-  return sp != nullptr && sp->allocated.load(std::memory_order_acquire) != 0;
-}
-
-void ConcurrentVersionStore::check_conventional(Addr a) const {
-  if (is_versioned_addr(a)) {
-    throw OFault(FaultKind::kConventionalAccessToVersionedPage,
-                 "slot " + std::to_string((a - kOStructBase) / 8));
-  }
+ConcurrentVersionStore::SlotRef ConcurrentVersionStore::resolve(OAddr a) {
+  const std::uint64_t slot = ostruct_slot(a);
+  CSlot* sp = live_slot(slot);
+  if (sp == nullptr) fault_unversioned(a);
+  return {slot, *sp, shard_of(slot)};
 }
 
 OAddr ConcurrentVersionStore::alloc(std::size_t slots) {
-  if (slots == 0) throw OFault(FaultKind::kInvalidAddress, "zero-slot alloc");
-  if (inj_.fire(FaultSite::kSlotTable)) {
-    throw OFault(FaultKind::kResourceExhausted,
-                 "slot-table allocation of " + std::to_string(slots) +
-                     " slots refused (injected)");
-  }
+  if (slots == 0) fault_zero_slot_alloc();
+  if (inj_.fire(FaultSite::kSlotTable)) fault_injected_slot_alloc(slots);
   std::lock_guard<std::mutex> g(alloc_mu_);
   auto& freed = slot_free_[static_cast<std::uint64_t>(slots)];
   std::uint64_t base;
@@ -325,7 +312,7 @@ OAddr ConcurrentVersionStore::alloc(std::size_t slots) {
 }
 
 void ConcurrentVersionStore::release(OAddr base, std::size_t slots) {
-  const std::uint64_t first = slot_of(base);
+  const std::uint64_t first = resolve(base).slot;
   for (std::uint64_t s = first; s < first + slots; ++s) {
     CSlot* sp = slot_ptr(s);
     if (sp == nullptr) fault_unversioned(ostruct_addr(s));
@@ -357,13 +344,10 @@ void ConcurrentVersionStore::release(OAddr base, std::size_t slots) {
       }
       // Shadow-registry entries for this slot point into the chain just
       // retired; drop them so a later reclaim pass does not retire twice.
-      sh.shadowed.erase(
-          std::remove_if(sh.shadowed.begin(), sh.shadowed.end(),
-                         [s](const Shadowed& x) { return x.slot == s; }),
-          sh.shadowed.end());
+      std::erase_if(sh.shadowed,
+                    [s](const Shadowed& x) { return x.slot == s; });
     }
-    global_epoch_.now.fetch_add(1, std::memory_order_seq_cst);
-    sched_point(SchedKind::kEpochAdvance, 0);
+    advance_epoch();
     // Parked waiters re-check and fault on the cleared versioned bit.
     wake(sh);
   }
@@ -382,12 +366,12 @@ std::uint32_t ConcurrentVersionStore::trace_id(Shard& sh, std::uint32_t b) {
   return sh.trace_ids[b];
 }
 
-std::uint32_t ConcurrentVersionStore::alloc_block(Shard& sh) {
+std::uint32_t ConcurrentVersionStore::alloc_block(ThreadCtx& c, Shard& sh) {
   if (inj_.fire(FaultSite::kBlockPool)) {
     throw OFault(FaultKind::kResourceExhausted,
                  "shard " + std::to_string(shard_index(sh)) +
                      " block pool exhausted (injected) during store by task " +
-                     std::to_string(ctx().cur_task));
+                     std::to_string(c.cur_task));
   }
   if (sh.shadowed.size() >= cfg_.reclaim_threshold) maybe_reclaim(sh);
   if (sh.free_list.empty() && !sh.limbo.empty()) {
@@ -399,8 +383,7 @@ std::uint32_t ConcurrentVersionStore::alloc_block(Shard& sh) {
     for (const Retired& r : sh.limbo) {
       if (safe(r)) sh.free_list.push_back(r.block);
     }
-    sh.limbo.erase(std::remove_if(sh.limbo.begin(), sh.limbo.end(), safe),
-                   sh.limbo.end());
+    std::erase_if(sh.limbo, safe);
   }
   if (!sh.free_list.empty()) {
     const std::uint32_t b = sh.free_list.back();
@@ -415,7 +398,7 @@ std::uint32_t ConcurrentVersionStore::alloc_block(Shard& sh) {
                        " block pool exhausted: " +
                        std::to_string(kMaxBlockChunks * kBlockChunkSize) +
                        " blocks live, none reclaimable (task " +
-                       std::to_string(ctx().cur_task) + ")");
+                       std::to_string(c.cur_task) + ")");
     }
     sh.chunk[nc].store(new CBlock[kBlockChunkSize],
                        std::memory_order_release);
@@ -510,18 +493,17 @@ void ConcurrentVersionStore::maybe_reclaim(Shard& sh) {
       continue;
     }
     CSlot* sp = slot_ptr(sd.slot);
-    if (sp == nullptr) {
-      continue;  // slot released; release() already retired the chain
-    }
+    if (sp == nullptr) continue;  // release() already retired the chain
     CSlot& sl = *sp;
     const ChainPos at = find_locked(sh, sl, /*exact=*/true, sd.version);
     if (at.cur != sd.block) {
       // Unreachable: a block leaves its chain only through release()
-      // (which erases every entry for the slot) or a retire here (which
-      // purges every entry for the block). Keep the entry rather than
-      // drop it — dropping would leak the block index, and pushing it to
-      // limbo without having unlinked it could double-free — and finish
-      // the pass so the shard stays consistent before reporting it.
+      // (which erases every entry for the slot), an abort (which erases
+      // the block's entries) or a retire here (which purges every entry
+      // for the block). Keep the entry rather than drop it — dropping
+      // would leak the block index, and pushing it to limbo without
+      // having unlinked it could double-free — and finish the pass so the
+      // shard stays consistent before reporting it.
       if (!broken) broken = sd;
       keep.push_back(sd);
       continue;
@@ -534,27 +516,19 @@ void ConcurrentVersionStore::maybe_reclaim(Shard& sh) {
   if (!gone.empty()) {
     // Purge duplicates that were kept before their block's retiring entry
     // was reached (the mark check above only catches later ones).
-    keep.erase(std::remove_if(keep.begin(), keep.end(),
-                              [&retiring](const Shadowed& x) {
-                                return retiring[x.block];
-                              }),
-               keep.end());
+    std::erase_if(keep, [&retiring](const Shadowed& x) {
+      return retiring[x.block];
+    });
     for (const std::uint32_t b : gone) retiring[b] = false;
   }
   sh.shadowed.swap(keep);
   sh.reclaimed.fetch_add(gone.size(), std::memory_order_relaxed);
   if (!gone.empty()) {
-    // Serial GC floor rule (PaperWatermarkPolicy::finalize in
-    // core/gc_policy.cpp): readers of a version shadowed by f have ids
-    // < f, so after reclaiming under fence f no task with id <= f-1 may
-    // ever be created.
-    const TaskId want = max_shadower == 0 ? 0 : max_shadower - 1;
-    creation_.gc_floor = std::max(creation_.gc_floor, want);
+    raise_gc_floor(creation_.gc_floor, max_shadower);
     sched_point(SchedKind::kGcFloorRaise, 0);
     // Advance the epoch so the retired batch's grace period can end once
     // every reader active right now has unpinned.
-    global_epoch_.now.fetch_add(1, std::memory_order_seq_cst);
-    sched_point(SchedKind::kEpochAdvance, 0);
+    advance_epoch();
   }
   if (broken) {
     throw std::logic_error(
@@ -567,19 +541,14 @@ void ConcurrentVersionStore::maybe_reclaim(Shard& sh) {
 // ---------------------------------------------------------------------------
 // Blocking
 
-void ConcurrentVersionStore::wait_change(Shard& sh, CSlot& sl,
+void ConcurrentVersionStore::wait_change(ThreadCtx& c, Shard& sh, CSlot& sl,
                                          std::uint32_t seq_seen, OpCode op,
                                          OAddr a, Ver v) {
-  ThreadCtx& c = ctx();
   // Injected deadlock: fault as if the timeout below had already expired.
   // Same FaultKind and diagnostic shape, so the runtime's abort-and-retry
   // path is exercised without waiting out a real timeout.
   if (inj_.fire(FaultSite::kDeadlock)) {
-    throw OFault(FaultKind::kWouldBlock,
-                 "injected deadlock timeout: " + std::string(to_string(op)) +
-                     " of version " + std::to_string(v) + " at address " +
-                     std::to_string(a) + " by task " +
-                     std::to_string(c.cur_task));
+    fault_injected_deadlock(op, v, a, c.cur_task);
   }
   if (hook_ != nullptr) {
     // Model-checked blocking: no spinning, no timed park, no wall clock.
@@ -590,10 +559,7 @@ void ConcurrentVersionStore::wait_change(Shard& sh, CSlot& sl,
     const std::uint64_t shard = shard_index(sh);
     while (sl.seq.load(std::memory_order_acquire) == seq_seen) {
       if (stop_.load(std::memory_order_acquire)) {
-        throw OFault(FaultKind::kWouldBlock,
-                     "run aborted while " + std::string(to_string(op)) +
-                         " of version " + std::to_string(v) + " by task " +
-                         std::to_string(c.cur_task) + " was parked");
+        fault_stopped(op, v, c.cur_task);
       }
       ++c.local.parks;
       if (!hook_->block({SchedKind::kBlocked, shard})) {
@@ -642,12 +608,7 @@ void ConcurrentVersionStore::wait_change(Shard& sh, CSlot& sl,
     }
   }
   sh.nwaiters.fetch_sub(1, std::memory_order_seq_cst);
-  if (stopped) {
-    throw OFault(FaultKind::kWouldBlock,
-                 "run aborted while " + std::string(to_string(op)) +
-                     " of version " + std::to_string(v) + " by task " +
-                     std::to_string(c.cur_task) + " was parked");
-  }
+  if (stopped) fault_stopped(op, v, c.cur_task);
   if (timed_out) {
     throw OFault(FaultKind::kWouldBlock,
                  "deadlock: " + std::string(to_string(op)) + " of version " +
@@ -703,8 +664,7 @@ void ConcurrentVersionStore::emit(telemetry::EventType type, OpCode op,
 // Reads
 
 ConcurrentVersionStore::ReadOutcome ConcurrentVersionStore::try_read(
-    Shard& sh, CSlot& sl, bool exact, Ver key) {
-  ThreadCtx& c = ctx();
+    ThreadCtx& c, Shard& sh, CSlot& sl, bool exact, Ver key) {
   // Decision point: under a hook, where this optimistic read falls in the
   // interleaving is chosen here, before the epoch pin (a descheduled
   // thread must not hold a pin — it would block reclamation in every
@@ -808,21 +768,20 @@ std::uint64_t ConcurrentVersionStore::load_common(OAddr a, bool exact,
   ThreadCtx& c = ctx();
   ++c.local.ops;
   ++c.local.loads;
-  std::uint64_t slot = slot_of(a);
-  CSlot& sl = *slot_ptr(slot);
-  Shard& sh = shard_of(slot);
+  const SlotRef r = resolve(a);
   if (tracing()) emit(telemetry::EventType::kIsaOp, op, a, key, 0);
   for (;;) {
-    ReadOutcome r = tracing() ? read_serialized(sh, sl, exact, key, op, a)
-                              : try_read(sh, sl, exact, key);
-    if (r.ok) {
-      if (found != nullptr) *found = r.got;
-      return r.data;
+    const ReadOutcome out =
+        tracing() ? read_serialized(r.sh, r.sl, exact, key, op, a)
+                  : try_read(c, r.sh, r.sl, exact, key);
+    if (out.ok) {
+      if (found != nullptr) *found = out.got;
+      return out.data;
     }
-    wait_change(sh, sl, r.seq, op, a, key);
+    wait_change(c, r.sh, r.sl, out.seq, op, a, key);
     // The wait may have been a release(): re-validate the versioned bit so
     // a parked op faults instead of spinning on a dead slot.
-    slot = slot_of(a);
+    resolve(a);
   }
 }
 
@@ -838,9 +797,9 @@ std::uint64_t ConcurrentVersionStore::load_latest(OAddr a, Ver cap,
 // ---------------------------------------------------------------------------
 // Writes
 
-void ConcurrentVersionStore::store_locked(Shard& sh, CSlot& sl,
-                                          std::uint64_t slot, Ver v,
-                                          std::uint64_t data) {
+void ConcurrentVersionStore::store_locked(ThreadCtx& c, const SlotRef& r,
+                                          Ver v, std::uint64_t data) {
+  const auto& [slot, sl, sh] = r;
 #if defined(OSIM_MC_SEEDED_BUG) && OSIM_MC_SEEDED_BUG == 1
   // Seeded PR-6 review bug (model-checking regression fixture, see
   // tests/test_explore_seeded.cpp): walk to the insertion point FIRST,
@@ -850,7 +809,7 @@ void ConcurrentVersionStore::store_locked(Shard& sh, CSlot& sl,
   // the chain (lost store, or a self-loop when nb == cur). osim-mc finds
   // the interleaving via the gc_fence litmus and check_integrity().
   const ChainPos at = find_locked(sh, sl, /*exact=*/false, v);
-  const std::uint32_t nb = alloc_block(sh);
+  const std::uint32_t nb = alloc_block(c, sh);
 #else
   // Allocate before walking, like the serial store_impl: alloc_block may
   // run a reclaim pass that unlinks shadowed blocks from this very chain
@@ -858,7 +817,7 @@ void ConcurrentVersionStore::store_locked(Shard& sh, CSlot& sl,
   // hand a just-unlinked block back as nb. The fresh block itself is not
   // reachable from any chain, so the walk below sees a stable
   // post-reclaim list.
-  const std::uint32_t nb = alloc_block(sh);
+  const std::uint32_t nb = alloc_block(c, sh);
   const ChainPos at = find_locked(sh, sl, /*exact=*/false, v);
 #endif
   if (at.cur != kNil &&
@@ -868,8 +827,7 @@ void ConcurrentVersionStore::store_locked(Shard& sh, CSlot& sl,
     // event — kBlockAlloc is only emitted once the block is linked, so the
     // checker never saw this one.
     sh.free_list.push_back(nb);
-    throw OFault(FaultKind::kVersionAlreadyExists,
-                 "version " + std::to_string(v) + " already exists");
+    fault_duplicate_version(v);
   }
   const auto [pred, cur] = at;
   CBlock& b = block(sh, nb);
@@ -887,29 +845,28 @@ void ConcurrentVersionStore::store_locked(Shard& sh, CSlot& sl,
     sl.nversions.fetch_add(1, std::memory_order_relaxed);
   }
 
-  ++ctx().local.blocks_allocated;
+  ++c.local.blocks_allocated;
 
   // Shadow registration (paper Sec. III-B): a head insert shadows the old
-  // head with the new version; a mid-list insert is itself born shadowed
-  // by its immediately-newer neighbour.
-  std::uint32_t shadowed = kNil;
-  Ver shadower = 0;
-  if (pred == kNil) {
-    if (cur != kNil) {
-      shadowed = cur;
-      shadower = v;
-    }
-  } else {
-    shadowed = nb;
-    shadower = block(sh, pred).version.load(std::memory_order_relaxed);
+  // head (if any) with the new version; a mid-list insert is itself born
+  // shadowed by its immediately-newer neighbour, a version this store did
+  // not make. A journaled head insert leaves the old head's registration
+  // to task_end (core/undo_journal.hpp, committed-shadower rule).
+  const bool at_head = pred == kNil;
+  const std::uint32_t shadowed = at_head ? cur : nb;
+  const Ver shadower =
+      at_head ? v : block(sh, pred).version.load(std::memory_order_relaxed);
+  const Ver shadowed_v =
+      shadowed == kNil
+          ? 0
+          : block(sh, shadowed).version.load(std::memory_order_relaxed);
+  const bool deferred = at_head && shadowed != kNil &&
+                        undo_active(cfg_.track_aborts, c.cur_task);
+  journal(c, {UndoEntry::Kind::kStore, slot, v, kNullBlock, 0,
+              deferred ? shadowed : kNullBlock, 0, shadowed_v});
+  if (shadowed != kNil && !deferred) {
+    sh.shadowed.push_back({shadowed, shadowed_v, shadower, slot});
   }
-  if (shadowed != kNil) {
-    sh.shadowed.push_back(
-        {shadowed, block(sh, shadowed).version.load(std::memory_order_relaxed),
-         shadower, slot});
-  }
-
-  journal(UndoEntry::Kind::kStore, slot, v);
 
   if (tracing()) {
     const OAddr a = ostruct_addr(slot);
@@ -928,15 +885,13 @@ void ConcurrentVersionStore::store_version(OAddr a, Ver v,
   ThreadCtx& c = ctx();
   ++c.local.ops;
   ++c.local.stores;
-  const std::uint64_t slot = slot_of(a);
-  CSlot& sl = *slot_ptr(slot);
-  Shard& sh = shard_of(slot);
+  const SlotRef r = resolve(a);
   if (tracing()) emit(telemetry::EventType::kIsaOp, OpCode::kStoreVersion, a, v, 0);
   {
-    HookedLock g(*this, sh);
-    store_locked(sh, sl, slot, v, data);
+    HookedLock g(*this, r.sh);
+    store_locked(c, r, v, data);
   }
-  wake(sh);
+  wake(r.sh);
 }
 
 std::uint64_t ConcurrentVersionStore::lock_load_common(OAddr a, bool exact,
@@ -945,17 +900,15 @@ std::uint64_t ConcurrentVersionStore::lock_load_common(OAddr a, bool exact,
   ThreadCtx& c = ctx();
   ++c.local.ops;
   ++c.local.lock_ops;
-  std::uint64_t slot = slot_of(a);
-  CSlot& sl = *slot_ptr(slot);
-  Shard& sh = shard_of(slot);
+  const SlotRef r = resolve(a);
   if (tracing()) emit(telemetry::EventType::kIsaOp, op, a, key, 0);
   for (;;) {
     std::uint32_t seq_seen;
     {
-      HookedLock g(*this, sh);
-      const std::uint32_t cand = find_locked(sh, sl, exact, key).cur;
+      HookedLock g(*this, r.sh);
+      const std::uint32_t cand = find_locked(r.sh, r.sl, exact, key).cur;
       if (cand != kNil) {
-        CBlock& cb = block(sh, cand);
+        CBlock& cb = block(r.sh, cand);
         if (cb.locked_by.load(std::memory_order_relaxed) == kNoTask) {
           // Taking the lock needs no seqlock window: optimistic readers
           // that read the pre-lock state linearize before the acquisition
@@ -964,7 +917,7 @@ std::uint64_t ConcurrentVersionStore::lock_load_common(OAddr a, bool exact,
           cb.locked_by.store(locker, std::memory_order_relaxed);
           const Ver got = cb.version.load(std::memory_order_relaxed);
           const std::uint64_t data = cb.data.load(std::memory_order_relaxed);
-          journal(UndoEntry::Kind::kLock, slot, got);
+          journal(c, {UndoEntry::Kind::kLock, r.slot, got});
           if (tracing()) {
             emit(telemetry::EventType::kVersionRead, op, a, got, key);
             emit(telemetry::EventType::kLockAcquire, OpCode{}, a, got,
@@ -974,10 +927,10 @@ std::uint64_t ConcurrentVersionStore::lock_load_common(OAddr a, bool exact,
           return data;
         }
       }
-      seq_seen = sl.seq.load(std::memory_order_relaxed);
+      seq_seen = r.sl.seq.load(std::memory_order_relaxed);
     }
-    wait_change(sh, sl, seq_seen, op, a, key);
-    slot = slot_of(a);  // re-validate after a potential release()
+    wait_change(c, r.sh, r.sl, seq_seen, op, a, key);
+    resolve(a);  // re-validate after a potential release()
   }
 }
 
@@ -1000,39 +953,27 @@ void ConcurrentVersionStore::unlock_version(OAddr a, Ver locked_v,
   ThreadCtx& c = ctx();
   ++c.local.ops;
   ++c.local.lock_ops;
-  const std::uint64_t slot = slot_of(a);
-  CSlot& sl = *slot_ptr(slot);
-  Shard& sh = shard_of(slot);
+  const SlotRef r = resolve(a);
   if (tracing()) {
     emit(telemetry::EventType::kIsaOp, OpCode::kUnlockVersion, a, locked_v, 0);
   }
   {
-    HookedLock g(*this, sh);
+    HookedLock g(*this, r.sh);
     const std::uint32_t target =
-        find_locked(sh, sl, /*exact=*/true, locked_v).cur;
-    if (target == kNil) {
-      throw OFault(FaultKind::kNotLockOwner,
-                   "unlock of nonexistent version " +
-                       std::to_string(locked_v));
-    }
-    CBlock& cb = block(sh, target);
+        find_locked(r.sh, r.sl, /*exact=*/true, locked_v).cur;
+    if (target == kNil) fault_unlock_missing(locked_v);
+    CBlock& cb = block(r.sh, target);
     const TaskId holder = cb.locked_by.load(std::memory_order_relaxed);
-    if (holder != owner) {
-      throw OFault(FaultKind::kNotLockOwner,
-                   "version " + std::to_string(locked_v) + " locked by " +
-                       std::to_string(holder) + ", unlock by " +
-                       std::to_string(owner));
-    }
+    if (holder != owner) fault_unlock_foreign(locked_v, holder, owner);
     if (rename_to.has_value() &&
-        find_locked(sh, sl, /*exact=*/true, *rename_to).cur != kNil) {
-      throw OFault(FaultKind::kRenameTargetExists,
-                   std::to_string(*rename_to));
+        find_locked(r.sh, r.sl, /*exact=*/true, *rename_to).cur != kNil) {
+      fault_rename_exists(*rename_to);
     }
     const std::uint64_t data = cb.data.load(std::memory_order_relaxed);
     // The unlock is a slot mutation parked readers wait for, so it runs
     // inside a seqlock window (the sequence change is their wake signal).
     {
-      SeqWrite w(sl);
+      SeqWrite w(r.sl);
       cb.locked_by.store(kNoTask, std::memory_order_relaxed);
     }
     if (tracing()) {
@@ -1040,10 +981,10 @@ void ConcurrentVersionStore::unlock_version(OAddr a, Ver locked_v,
     }
     if (rename_to.has_value()) {
       // Renaming: materialize the same value as a new, unlocked version.
-      store_locked(sh, sl, slot, *rename_to, data);
+      store_locked(c, r, *rename_to, data);
     }
   }
-  wake(sh);
+  wake(r.sh);
 }
 
 // ---------------------------------------------------------------------------
@@ -1159,6 +1100,21 @@ void ConcurrentVersionStore::task_end(TaskId t) {
     emit(telemetry::EventType::kIsaOp, OpCode::kTaskEnd, 0, t, 0);
   }
   ThreadCtx& endc = ctx();
+  if (endc.cur_task == t) {
+    // Committed: register the older heads its stores shadowed that are
+    // still linked (core/undo_journal.hpp).
+    for (const UndoEntry& e : endc.undo) {
+      CSlot* sp = e.shadowed == kNullBlock ? nullptr : live_slot(e.slot);
+      if (sp == nullptr) continue;
+      Shard& sh = shard_of(e.slot);
+      HookedLock g(*this, sh);
+      if (find_locked(sh, *sp, /*exact=*/true, e.shadowed_version).cur ==
+          e.shadowed) {
+        sh.shadowed.push_back(
+            {e.shadowed, e.shadowed_version, e.version, e.slot});
+      }
+    }
+  }
   endc.cur_task = kNoTask;
   endc.undo.clear();
   TaskStripe& ts = stripe_of(t);
@@ -1207,18 +1163,14 @@ void ConcurrentVersionStore::abort_task(TaskId t) {
   // reclaimed or released before the abort. One body serves both entry
   // kinds so the seqlock-windowed surgery stays in a single locked scope.
   auto undo_one = [&](const UndoEntry& e) -> bool {
-    CSlot* sp = slot_ptr(e.slot);
-    if (sp == nullptr || sp->allocated.load(std::memory_order_acquire) == 0) {
-      return false;  // the whole O-structure was released in the meantime
-    }
+    CSlot* sp = live_slot(e.slot);
+    if (sp == nullptr) return false;  // the O-structure was released since
     CSlot& sl = *sp;
     Shard& sh = shard_of(e.slot);
     {
       HookedLock g(*this, sh);
       const ChainPos at = find_locked(sh, sl, /*exact=*/true, e.version);
-      if (at.cur == kNil) {
-        return false;  // reclaimed (or released) before the abort
-      }
+      if (at.cur == kNil) return false;  // reclaimed before the abort
       CBlock& cb = block(sh, at.cur);
       if (e.kind == UndoEntry::Kind::kLock) {
         if (cb.locked_by.load(std::memory_order_relaxed) != t) {
@@ -1235,54 +1187,48 @@ void ConcurrentVersionStore::abort_task(TaskId t) {
       } else {
         const std::uint64_t epoch =
             global_epoch_.now.load(std::memory_order_relaxed);
-        // Purge shadow-registry entries naming the dead block, plus the
-        // entry this store created for its shadowed neighbour — with v
-        // gone the neighbour is the live head (or mid-list) again and must
-        // not be retired under v's fence.
-        const std::uint64_t slot = e.slot;
-        const Ver v = e.version;
-        sh.shadowed.erase(
-            std::remove_if(sh.shadowed.begin(), sh.shadowed.end(),
-                           [&](const Shadowed& x) {
-                             if (x.block == at.cur) return true;
-                             if (x.slot != slot || x.shadower != v) {
-                               return false;
-                             }
-                             // The neighbour v shadowed is live again;
-                             // tell the checker before v's free event.
-                             if (tracing()) {
-                               emit(telemetry::EventType::kBlockRestored,
-                                    OpCode{}, ostruct_addr(slot), x.version,
-                                    trace_id(sh, x.block));
-                             }
-                             return true;
-                           }),
-            sh.shadowed.end());
+        // The neighbours v shadowed are live again; tell the checker
+        // before v's free event. The older head was never registered
+        // (task_end would have); mid-list inserts born under v were, and
+        // their entries go with those naming the dead block, so none is
+        // retired under v's fence.
+        const OAddr a = ostruct_addr(e.slot);
+        if (tracing() && e.shadowed != kNullBlock &&
+            find_locked(sh, sl, /*exact=*/true, e.shadowed_version).cur ==
+                e.shadowed) {
+          emit(telemetry::EventType::kBlockRestored, OpCode{}, a,
+               e.shadowed_version, trace_id(sh, e.shadowed));
+        }
+        std::erase_if(sh.shadowed, [&](const Shadowed& x) {
+          if (x.block == at.cur) return true;
+          if (x.slot != e.slot || x.shadower != e.version) return false;
+          if (tracing()) {
+            emit(telemetry::EventType::kBlockRestored, OpCode{}, a, x.version,
+                 trace_id(sh, x.block));
+          }
+          return true;
+        });
         // Unlink the created version. A lock another task took on it dies
         // with the block — their unlock will fault kNotLockOwner, the
         // deterministic "you read an aborted version" signal.
-        unlink_locked(sh, sl, slot, at, epoch);
+        unlink_locked(sh, sl, e.slot, at, epoch);
         freed_any = true;
       }
     }
     wake(sh);
     return true;
   };
-  const UndoReplayCounts undone =
-      replay_undo_newest_first(c.undo, undo_one, undo_one);
-  c.local.aborted_blocks += undone.blocks;
-  c.local.aborted_locks += undone.locks;
+  const std::uint64_t undone =
+      replay_abort(c.undo, c.local.aborts, undo_one, undo_one);
   c.undo.clear();
   if (c.cur_task == t) c.cur_task = kNoTask;
   if (freed_any) {
     // Open the unlinked blocks' grace period; they become harvestable once
     // every reader active right now has unpinned.
-    global_epoch_.now.fetch_add(1, std::memory_order_seq_cst);
-    sched_point(SchedKind::kEpochAdvance, 0);
+    advance_epoch();
   }
-  ++c.local.aborts;
   if (tracing()) {
-    emit(telemetry::EventType::kTaskAborted, OpCode{}, 0, t, undone.blocks);
+    emit(telemetry::EventType::kTaskAborted, OpCode{}, 0, t, undone);
   }
 }
 
@@ -1291,9 +1237,7 @@ void ConcurrentVersionStore::abort_task(TaskId t) {
 
 std::optional<std::uint64_t> ConcurrentVersionStore::peek_version(OAddr a,
                                                                   Ver v) {
-  const std::uint64_t slot = slot_of(a);
-  Shard& sh = shard_of(slot);
-  CSlot& sl = *slot_ptr(slot);
+  const auto [slot, sl, sh] = resolve(a);
   HookedLock g(*this, sh);
   const std::uint32_t b = find_locked(sh, sl, /*exact=*/true, v).cur;
   if (b == kNil) return std::nullopt;
@@ -1301,9 +1245,7 @@ std::optional<std::uint64_t> ConcurrentVersionStore::peek_version(OAddr a,
 }
 
 std::optional<Ver> ConcurrentVersionStore::newest_version(OAddr a) {
-  const std::uint64_t slot = slot_of(a);
-  Shard& sh = shard_of(slot);
-  CSlot& sl = *slot_ptr(slot);
+  const auto [slot, sl, sh] = resolve(a);
   HookedLock g(*this, sh);
   const std::uint32_t b = sl.head.load(std::memory_order_relaxed);
   if (b == kNil) return std::nullopt;
@@ -1311,9 +1253,7 @@ std::optional<Ver> ConcurrentVersionStore::newest_version(OAddr a) {
 }
 
 std::optional<TaskId> ConcurrentVersionStore::lock_holder(OAddr a, Ver v) {
-  const std::uint64_t slot = slot_of(a);
-  Shard& sh = shard_of(slot);
-  CSlot& sl = *slot_ptr(slot);
+  const auto [slot, sl, sh] = resolve(a);
   HookedLock g(*this, sh);
   const std::uint32_t b = find_locked(sh, sl, /*exact=*/true, v).cur;
   if (b == kNil) return std::nullopt;
@@ -1322,18 +1262,14 @@ std::optional<TaskId> ConcurrentVersionStore::lock_holder(OAddr a, Ver v) {
 }
 
 int ConcurrentVersionStore::version_count(OAddr a) {
-  const std::uint64_t slot = slot_of(a);
-  Shard& sh = shard_of(slot);
-  CSlot& sl = *slot_ptr(slot);
+  const auto [slot, sl, sh] = resolve(a);
   HookedLock g(*this, sh);
   return static_cast<int>(sl.nversions.load(std::memory_order_relaxed));
 }
 
 std::vector<std::pair<Ver, std::uint64_t>>
 ConcurrentVersionStore::slot_versions(OAddr a) {
-  const std::uint64_t slot = slot_of(a);
-  Shard& sh = shard_of(slot);
-  CSlot& sl = *slot_ptr(slot);
+  const auto [slot, sl, sh] = resolve(a);
   HookedLock g(*this, sh);
   std::vector<std::pair<Ver, std::uint64_t>> out;
   for (std::uint32_t b = sl.head.load(std::memory_order_relaxed);
@@ -1362,9 +1298,9 @@ ConcurrentVersionStore::Stats ConcurrentVersionStore::stats() const {
     s.spin_waits += l.spin_waits;
     s.parks += l.parks;
     s.blocks_allocated += l.blocks_allocated;
-    s.aborts += l.aborts;
-    s.aborted_blocks += l.aborted_blocks;
-    s.aborted_locks += l.aborted_locks;
+    s.aborts.tasks_aborted += l.aborts.tasks_aborted;
+    s.aborts.aborted_blocks += l.aborts.aborted_blocks;
+    s.aborts.aborted_locks += l.aborts.aborted_locks;
   }
   for (int i = 0; i < nshards_; ++i) {
     s.blocks_reclaimed +=
@@ -1378,10 +1314,8 @@ ConcurrentVersionStore::check_integrity() {
   IntegrityReport rep;
   const std::uint64_t nslots = slot_count_.load(std::memory_order_acquire);
   for (std::uint64_t s = 0; s < nslots && rep.ok; ++s) {
-    CSlot* sp = slot_ptr(s);
-    if (sp == nullptr || sp->allocated.load(std::memory_order_acquire) == 0) {
-      continue;
-    }
+    CSlot* sp = live_slot(s);
+    if (sp == nullptr) continue;
     Shard& sh = shard_of(s);
     HookedLock g(*this, sh);
     // Bounded walk with explicit visited tracking: a corrupted chain may

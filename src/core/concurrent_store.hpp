@@ -60,6 +60,7 @@
 
 #include "core/address_map.hpp"
 #include "core/engine_trace.hpp"
+#include "core/fault.hpp"
 #include "core/fault_injection.hpp"
 #include "core/gc_policy.hpp"
 #include "core/isa.hpp"
@@ -128,9 +129,7 @@ class ConcurrentVersionStore : public VersionEngine {
     std::uint64_t parks = 0;         ///< blocked ops that slept on the CV
     std::uint64_t blocks_allocated = 0;
     std::uint64_t blocks_reclaimed = 0;  ///< shadowed blocks recycled
-    std::uint64_t aborts = 0;            ///< abort_task() calls
-    std::uint64_t aborted_blocks = 0;    ///< versions rolled back by aborts
-    std::uint64_t aborted_locks = 0;     ///< locks released by aborts
+    EngineStats aborts;  ///< abort_task() accounting, the facade's record
   };
 
   explicit ConcurrentVersionStore(const ConcurrencyConfig& cfg = {});
@@ -170,8 +169,12 @@ class ConcurrentVersionStore : public VersionEngine {
   void abort_task(TaskId t) override;
 
   // ---- Protection ----
-  bool is_versioned_addr(Addr a) const override;
-  void check_conventional(Addr a) const override;
+  bool is_versioned_addr(Addr a) const override {
+    return live_slot(ostruct_slot(a)) != nullptr;
+  }
+  void check_conventional(Addr a) const override {
+    if (is_versioned_addr(a)) fault_conventional(a);
+  }
 
   /// Abort every parked waiter (they fault kWouldBlock). Used by the task
   /// pool to unwind a run after a worker error.
@@ -242,15 +245,8 @@ class ConcurrentVersionStore : public VersionEngine {
   std::vector<std::pair<Ver, std::uint64_t>> slot_versions(OAddr a);
 
   Stats stats() const;
-  /// Facade-level abort accounting (same fields as the serial engine).
-  EngineStats engine_stats() const override {
-    const Stats s = stats();
-    EngineStats es;
-    es.tasks_aborted = s.aborts;
-    es.aborted_blocks = s.aborted_blocks;
-    es.aborted_locks = s.aborted_locks;
-    return es;
-  }
+  /// Facade-level abort accounting (same record as the serial engine).
+  EngineStats engine_stats() const override { return stats().aborts; }
   const ConcurrencyConfig& config() const { return cfg_; }
 
  private:
@@ -346,12 +342,10 @@ class ConcurrentVersionStore : public VersionEngine {
   ThreadCtx& ctx();
   int ctx_id();
 
-  /// Append to the current task's rollback journal; no-op unless
-  /// track_aborts is set and a task is bound to this thread.
-  void journal(UndoEntry::Kind kind, std::uint64_t slot, Ver v) {
-    ThreadCtx& c = ctx();
-    if (!undo_active(cfg_.track_aborts, c.cur_task)) return;
-    c.undo.push_back({kind, slot, v});
+  /// Append to the rollback journal of the task bound to `c`; no-op
+  /// unless track_aborts is set and a task is bound.
+  void journal(ThreadCtx& c, const UndoEntry& e) {
+    if (undo_active(cfg_.track_aborts, c.cur_task)) c.undo.push_back(e);
   }
 
   // ---- Layout helpers ----
@@ -364,12 +358,23 @@ class ConcurrentVersionStore : public VersionEngine {
         [idx & (kBlockChunkSize - 1)];
   }
   CSlot* slot_ptr(std::uint64_t slot) const;
-  std::uint64_t slot_of(OAddr a) const;  // faults on unversioned addresses
-  [[noreturn]] void fault_unversioned(OAddr a) const;
+  /// slot_ptr, or nullptr when the slot is not allocated.
+  CSlot* live_slot(std::uint64_t slot) const;
+  /// An allocated slot with its shard, resolved once per ISA op.
+  struct SlotRef {
+    std::uint64_t slot;
+    CSlot& sl;
+    Shard& sh;
+  };
+  /// Faults like the serial engine on anything but an allocated slot.
+  SlotRef resolve(OAddr a);
 
   // ---- Epoch-based reclamation ----
   struct EpochPin;  // RAII pin defined in the .cpp
   std::uint64_t min_active_epoch() const;
+  /// Advance the global epoch (announced to the schedule hook), opening
+  /// the grace period of every block unlinked so far.
+  void advance_epoch();
   /// The reclamation epoch on a cache line of its own: every EpochPin
   /// loads it twice, so no written field may share its line.
   struct alignas(64) EpochClock {
@@ -463,7 +468,8 @@ class ConcurrentVersionStore : public VersionEngine {
                      std::uint64_t epoch) OSIM_REQUIRES(sh.writer_mu);
 
   // ---- Block pool (writer_mu held) ----
-  std::uint32_t alloc_block(Shard& sh) OSIM_REQUIRES(sh.writer_mu);
+  std::uint32_t alloc_block(ThreadCtx& c, Shard& sh)
+      OSIM_REQUIRES(sh.writer_mu);
   void maybe_reclaim(Shard& sh) OSIM_REQUIRES(sh.writer_mu);
 
   // ---- Reads ----
@@ -474,7 +480,8 @@ class ConcurrentVersionStore : public VersionEngine {
     std::uint64_t data = 0;
   };
   /// One consistent optimistic walk (seqlock read + epoch pin).
-  ReadOutcome try_read(Shard& sh, CSlot& sl, bool exact, Ver key);
+  ReadOutcome try_read(ThreadCtx& c, Shard& sh, CSlot& sl, bool exact,
+                       Ver key);
   /// Pessimistic walk under the shard writer lock; used when a tracer is
   /// attached so read events interleave linearizably with store events.
   ReadOutcome read_serialized(Shard& sh, CSlot& sl, bool exact, Ver key,
@@ -490,13 +497,13 @@ class ConcurrentVersionStore : public VersionEngine {
   /// Wait until `sl`'s sequence moves past `seq_seen`; spin first, then
   /// park. Throws OFault(kWouldBlock) after the deadlock timeout or when
   /// request_stop() fires.
-  void wait_change(Shard& sh, CSlot& sl, std::uint32_t seq_seen, OpCode op,
-                   OAddr a, Ver v);
+  void wait_change(ThreadCtx& c, Shard& sh, CSlot& sl,
+                   std::uint32_t seq_seen, OpCode op, OAddr a, Ver v);
   void wake(Shard& sh);
 
   // ---- Serialized store/unlock internals (writer_mu held) ----
-  void store_locked(Shard& sh, CSlot& sl, std::uint64_t slot, Ver v,
-                    std::uint64_t data) OSIM_REQUIRES(sh.writer_mu);
+  void store_locked(ThreadCtx& c, const SlotRef& r, Ver v,
+                    std::uint64_t data) OSIM_REQUIRES(r.sh.writer_mu);
   std::uint32_t trace_id(Shard& sh, std::uint32_t b)
       OSIM_REQUIRES(sh.writer_mu);
 

@@ -2,8 +2,12 @@
 // (paper Sec. III, "Addressing and protection").
 #pragma once
 
+#include <cstddef>
 #include <stdexcept>
 #include <string>
+
+#include "core/isa.hpp"
+#include "core/types.hpp"
 
 namespace osim {
 
@@ -83,5 +87,19 @@ inline const char* to_string(FaultKind k) {
   }
   return "unknown fault";
 }
+
+// ---- The ISA's misuse faults ----
+// Both semantic engines decide these cases identically, so each is worded
+// once here (out of line: the throw sites sit on hot paths).
+[[noreturn]] void fault_zero_slot_alloc();
+[[noreturn]] void fault_injected_slot_alloc(std::size_t slots);
+[[noreturn]] void fault_unversioned(Addr a);
+[[noreturn]] void fault_conventional(Addr a);
+[[noreturn]] void fault_injected_deadlock(OpCode op, Ver v, Addr a,
+                                          TaskId task);
+[[noreturn]] void fault_unlock_missing(Ver v);
+[[noreturn]] void fault_unlock_foreign(Ver v, TaskId holder, TaskId owner);
+[[noreturn]] void fault_rename_exists(Ver v);
+[[noreturn]] void fault_duplicate_version(Ver v);
 
 }  // namespace osim

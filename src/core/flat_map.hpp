@@ -11,8 +11,8 @@
 // Deletion uses tombstones, so references to mapped values stay valid across
 // erase() (the memory system relies on this while tearing down directory
 // entries mid-operation). References are invalidated by rehash, i.e. by any
-// insert that grows the table — same contract callers already honoured for
-// std::unordered_map.
+// insert that grows or rehashes the table — same contract callers already
+// honoured for std::unordered_map.
 //
 // Not iterable by design: simulation results must not depend on hash-table
 // iteration order, so the map simply does not offer it.
@@ -36,6 +36,8 @@ class FlatMap {
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+  /// Slots in the table (live, tombstones and empty).
+  std::size_t capacity() const { return cap_; }
 
   /// Pointer to the mapped value, or nullptr.
   V* find(K key) {
@@ -128,9 +130,13 @@ class FlatMap {
   std::size_t next(std::size_t i) const { return (i + 1) & (cap_ - 1); }
 
   // Grows at 7/8 occupancy counting tombstones, so probe chains stay short
-  // and an empty slot always exists to terminate probes.
+  // and an empty slot always exists to terminate probes. With live entries
+  // at most half the table the rest are tombstones: rehash at the same
+  // capacity, so a map under insert/erase churn is sized by its live
+  // entries, not by every key it ever held.
   void grow() {
-    const std::size_t new_cap = cap_ == 0 ? 16 : cap_ * 2;
+    const std::size_t new_cap =
+        cap_ == 0 ? 16 : size_ * 2 <= cap_ ? cap_ : cap_ * 2;
     std::vector<std::uint8_t> old_ctrl = std::move(ctrl_);
     std::vector<std::pair<K, V>> old_slots = std::move(slots_);
     ctrl_.assign(new_cap, kEmpty);

@@ -101,10 +101,8 @@ void PaperWatermarkPolicy::forget(BlockIndex b) {
   auto match = [&](const Shadowed& s) {
     return s.block == b && s.generation == gen;
   };
-  shadowed_.erase(std::remove_if(shadowed_.begin(), shadowed_.end(), match),
-                  shadowed_.end());
-  pending_.erase(std::remove_if(pending_.begin(), pending_.end(), match),
-                 pending_.end());
+  std::erase_if(shadowed_, match);
+  std::erase_if(pending_, match);
   pending_blocks_.set(pending_.size());
 }
 
@@ -131,10 +129,7 @@ void PaperWatermarkPolicy::finalize() {
   pending_.clear();
   pending_blocks_.set(0);
   owner_.gc_event(telemetry::EventType::kGcPhaseEnd, 0, 0, reclaimed);
-  // Future tasks must be too young to read anything reclaimed under this
-  // fence. (Readers of a version shadowed by `fence_` have ids < fence_, so
-  // the floor is fence_ - 1; keep it simple and monotone.)
-  if (fence_ > 0) floor_ = std::max(floor_, fence_ - 1);
+  raise_gc_floor(floor_, fence_);
   phase_active_ = false;
 }
 
@@ -179,11 +174,9 @@ bool BoundedSpacePolicy::maybe_collect() {
 
 void BoundedSpacePolicy::forget(BlockIndex b) {
   const std::uint32_t gen = pool_[b].generation;
-  tracked_.erase(std::remove_if(tracked_.begin(), tracked_.end(),
-                                [&](const Tracked& e) {
-                                  return e.block == b && e.generation == gen;
-                                }),
-                 tracked_.end());
+  std::erase_if(tracked_, [&](const Tracked& e) {
+    return e.block == b && e.generation == gen;
+  });
   if (survivors_ > tracked_.size()) survivors_ = tracked_.size();
   pending_blocks_.set(tracked_.size());
 }
@@ -221,10 +214,7 @@ std::uint64_t BoundedSpacePolicy::sweep() {
   pending_blocks_.set(tracked_.size());
   if (reclaimed != 0) {
     reclaim_batch_.observe(reclaimed);
-    // Same monotone floor rule as the paper policy's finalize: every
-    // reclaimed range [v, s) has s <= max_shadower, so no task created
-    // above max_shadower - 1 can land inside any of them.
-    if (max_shadower > 0) floor_ = std::max(floor_, max_shadower - 1);
+    raise_gc_floor(floor_, max_shadower);
   }
   return reclaimed;
 }

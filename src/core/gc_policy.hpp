@@ -153,6 +153,14 @@ class GcTaskTracker {
   std::size_t head_ = 0;
 };
 
+/// The GC floor rule of every collector: once blocks shadowed by versions
+/// up to `max_shadower` are reclaimed, their readers had ids below it, so
+/// no task with an id <= max_shadower - 1 may be created again (every
+/// reclaimed range [v, s) has s <= max_shadower). Monotone.
+inline void raise_gc_floor(TaskId& floor, Ver max_shadower) {
+  if (max_shadower > 0) floor = std::max(floor, max_shadower - 1);
+}
+
 /// The policy seam. Task-lifecycle rules (#1-#3) are policy-independent
 /// and live here; what varies is when a registered shadowed block is
 /// declared unreachable and handed back through the owner.

@@ -23,10 +23,17 @@
 //     leaves the generation fields defaulted; its revalidation is the
 //     chain walk under the shard lock.
 //
+// THE COMMITTED-SHADOWER RULE. A journaled store above the slot's older
+// head does not register that head with the collector: its kStore entry
+// records it, task_end registers it if it is still the same linked block,
+// and an abort drops it — else a pass could reclaim the block the abort
+// makes the live version again (DESIGN.md, GcPolicy seam).
+//
 // Both engines journal through the same guard (undo_active) and replay
-// through the same newest-first driver (replay_undo_newest_first); only
-// the per-entry undo actions — plain list surgery vs. seqlock-windowed
-// unlink — stay engine-specific, passed in as callbacks.
+// through the same newest-first driver (replay_abort), which also counts
+// the abort into the engine's EngineStats; only the per-entry undo
+// actions — plain list surgery vs. seqlock-windowed unlink — stay
+// engine-specific, passed in as callbacks.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +41,7 @@
 
 #include "core/types.hpp"
 #include "core/version_block.hpp"
+#include "core/version_engine.hpp"
 
 namespace osim {
 
@@ -48,8 +56,11 @@ struct UndoEntry {
   Ver version;
   BlockIndex block = kNullBlock;     ///< created block (serial kStore)
   std::uint32_t generation = 0;      ///< its generation at journal time
-  BlockIndex shadowed = kNullBlock;  ///< block the insert shadowed (serial)
-  std::uint32_t shadowed_gen = 0;
+  /// The older head a kStore shadowed, registered at task_end (kNullBlock
+  /// for a mid-list insert, an empty slot or a kLock).
+  BlockIndex shadowed = kNullBlock;
+  std::uint32_t shadowed_gen = 0;  ///< its generation (serial)
+  Ver shadowed_version = 0;        ///< its version (concurrent)
 };
 
 /// Journaling guard shared by both engines: a record is appended only when
@@ -58,32 +69,25 @@ inline bool undo_active(bool track_aborts, TaskId cur_task) {
   return track_aborts && cur_task != kNoTask;
 }
 
-/// What a replay undid; feeds EngineStats (core/version_engine.hpp).
-struct UndoReplayCounts {
-  std::uint64_t blocks = 0;  ///< kStore entries undone
-  std::uint64_t locks = 0;   ///< kLock entries undone
-  std::uint64_t total() const { return blocks + locks; }
-};
-
-/// Replay `journal` newest-first through the engine's undo actions. Each
-/// callback revalidates its entry (see the invariant above) and returns
-/// whether it actually undid anything; the tally feeds abort accounting.
+/// One abort: replay `journal` newest-first through the engine's undo
+/// actions and count it into `stats`. Each callback revalidates its entry
+/// (see the invariant above) and returns whether it actually undid
+/// anything. Returns the number of created versions undone.
 template <typename UndoStoreFn, typename UndoLockFn>
-UndoReplayCounts replay_undo_newest_first(const std::vector<UndoEntry>& journal,
-                                          UndoStoreFn&& undo_store,
-                                          UndoLockFn&& undo_lock) {
-  UndoReplayCounts counts;
+std::uint64_t replay_abort(const std::vector<UndoEntry>& journal,
+                           EngineStats& stats, UndoStoreFn&& undo_store,
+                           UndoLockFn&& undo_lock) {
+  std::uint64_t blocks = 0;
   for (auto it = journal.rbegin(); it != journal.rend(); ++it) {
-    switch (it->kind) {
-      case UndoEntry::Kind::kStore:
-        if (undo_store(*it)) ++counts.blocks;
-        break;
-      case UndoEntry::Kind::kLock:
-        if (undo_lock(*it)) ++counts.locks;
-        break;
+    if (it->kind == UndoEntry::Kind::kStore) {
+      if (undo_store(*it)) ++blocks;
+    } else if (undo_lock(*it)) {
+      ++stats.aborted_locks;
     }
   }
-  return counts;
+  ++stats.tasks_aborted;
+  stats.aborted_blocks += blocks;
+  return blocks;
 }
 
 }  // namespace osim

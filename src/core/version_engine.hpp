@@ -60,10 +60,9 @@ struct EngineStats {
 /// Degradation telemetry of a retrying runtime (the concurrent task pool,
 /// the serial chaos round driver): one vocabulary, one JSON spelling, for
 /// every engine. Aggregated outside the engine because retries/backoff are
-/// runtime policy, not ISA semantics; tasks_aborted above is the engine's
-/// own ground truth the runtime's `aborts` must agree with.
+/// runtime policy, not ISA semantics; aborts are counted once, by the
+/// engine (EngineStats::tasks_aborted above).
 struct RecoveryStats {
-  std::uint64_t aborts = 0;      ///< abort_task() rollbacks performed
   std::uint64_t retries = 0;     ///< task re-runs after an abort
   std::uint64_t giveups = 0;     ///< recoverable faults past the retry cap
   std::uint64_t backoff_us = 0;  ///< total backoff sleep, microseconds

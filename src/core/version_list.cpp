@@ -58,8 +58,7 @@ InsertResult list_insert(BlockPool& pool, BlockIndex* root, BlockIndex fresh,
     cur = pool[cur].next;
   }
   if (cur != kNullBlock && pool[cur].version == nb.version) {
-    throw OFault(FaultKind::kVersionAlreadyExists,
-                 "version " + std::to_string(nb.version));
+    fault_duplicate_version(nb.version);
   }
   nb.next = cur;
   if (prev == kNullBlock) {

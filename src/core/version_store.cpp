@@ -77,12 +77,8 @@ VersionStore::VersionStore(const OStructConfig& cfg, int num_cores,
 // Allocation
 
 OAddr VersionStore::alloc(std::size_t slots) {
-  if (slots == 0) throw OFault(FaultKind::kInvalidAddress, "zero-slot alloc");
-  if (inj_.fire(FaultSite::kSlotTable)) {
-    throw OFault(FaultKind::kResourceExhausted,
-                 "slot-table allocation of " + std::to_string(slots) +
-                     " slots refused (injected)");
-  }
+  if (slots == 0) fault_zero_slot_alloc();
+  if (inj_.fire(FaultSite::kSlotTable)) fault_injected_slot_alloc(slots);
   auto& freed = slot_free_[static_cast<std::uint64_t>(slots)];
   std::uint64_t base;
   if (!freed.empty()) {
@@ -128,22 +124,6 @@ void VersionStore::release(OAddr base, std::size_t slots) {
   slot_free_[static_cast<std::uint64_t>(slots)].push_back(first);
 }
 
-void VersionStore::fault_unversioned(OAddr a) const {
-  if (a < kOStructBase || (a - kOStructBase) % 8 != 0) {
-    throw OFault(FaultKind::kVersionedAccessToUnversionedPage,
-                 "address " + std::to_string(a) +
-                     " is outside the versioned region");
-  }
-  throw OFault(FaultKind::kVersionedAccessToUnversionedPage,
-               "slot " + std::to_string((a - kOStructBase) / 8) +
-                   " is not allocated");
-}
-
-void VersionStore::fault_conventional(Addr a) const {
-  throw OFault(FaultKind::kConventionalAccessToVersionedPage,
-               "slot " + std::to_string((a - kOStructBase) / 8));
-}
-
 // ---------------------------------------------------------------------------
 // Operation framing
 
@@ -172,10 +152,7 @@ void VersionStore::stall(const OpFlags& f, std::uint64_t slot, int attempt,
   // Injection: the park times out immediately, as if the deadlock monitor
   // fired. Faults the requesting op with full context, never the run.
   if (inj_.fire(FaultSite::kDeadlock)) {
-    throw OFault(FaultKind::kWouldBlock,
-                 std::string("injected deadlock timeout: ") + to_string(op) +
-                     " of version " + std::to_string(v) + " at address " +
-                     std::to_string(a) + " by task " + std::to_string(w.task));
+    fault_injected_deadlock(op, v, a, w.task);
   }
   t_.wait_on_slot(w);
 }
@@ -385,9 +362,13 @@ void VersionStore::store_impl(std::uint64_t slot, Ver v, std::uint64_t data) {
     blocks_allocated_.dec();
     throw;
   }
-  journal({UndoEntry::Kind::kStore, slot, v, nb, pool_[nb].generation,
-           ir.shadowed,
-           ir.shadowed != kNullBlock ? pool_[ir.shadowed].generation : 0});
+  // An insert above an older head shadows it; a journaled one leaves the
+  // registration to task_end (undo_journal.hpp, committed-shadower rule).
+  const bool above = ir.shadowed != kNullBlock && ir.shadowed != nb;
+  const bool journaled = journal(
+      {UndoEntry::Kind::kStore, slot, v, nb, pool_[nb].generation,
+       above ? ir.shadowed : kNullBlock,
+       above ? pool_[ir.shadowed].generation : 0});
 
   // Snapshot everything the compressed-line update needs before any charged
   // access can yield to other cores.
@@ -417,11 +398,11 @@ void VersionStore::store_impl(std::uint64_t slot, Ver v, std::uint64_t data) {
 
   // GC shadow registration. An insert at the head shadows the old head with
   // the new version; a mid-list insert is itself born shadowed by its
-  // immediately-newer neighbour.
+  // immediately-newer neighbour (a version this store did not make).
   if (ir.shadowed != kNullBlock) {
     const Ver shadower = ir.at_head ? v : snap.newer_version;
     if (charges()) t_.block_shadowed(ir.shadowed);
-    gc_->on_shadowed(ir.shadowed, shadower);
+    if (!(above && journaled)) gc_->on_shadowed(ir.shadowed, shadower);
   }
 
   slots_[slot].nversions++;
@@ -448,20 +429,14 @@ void VersionStore::unlock_version(OAddr a, Ver locked_v, TaskId owner,
   SlotMeta& sm = slots_[slot];
   const FindResult fr =
       find_exact(pool_, sm.root, locked_v, effective_sorted(sm));
-  if (!fr.found()) {
-    throw OFault(FaultKind::kNotLockOwner,
-                 "unlock of nonexistent version " + std::to_string(locked_v));
-  }
+  if (!fr.found()) fault_unlock_missing(locked_v);
   VersionBlock& vb = pool_[fr.block];
   if (vb.locked_by != owner) {
-    throw OFault(FaultKind::kNotLockOwner,
-                 "version " + std::to_string(locked_v) + " locked by " +
-                     std::to_string(vb.locked_by) + ", unlock by " +
-                     std::to_string(owner));
+    fault_unlock_foreign(locked_v, vb.locked_by, owner);
   }
   if (rename_to.has_value() &&
       find_exact(pool_, sm.root, *rename_to, effective_sorted(sm)).found()) {
-    throw OFault(FaultKind::kRenameTargetExists, std::to_string(*rename_to));
+    fault_rename_exists(*rename_to);
   }
 
   vb.locked_by = kNoTask;
@@ -505,8 +480,18 @@ void VersionStore::task_end(TaskId t) {
                                   telemetry::EventType::kIsaOp,
                                   OpCode::kTaskEnd, 0, t, 0));
   }
+  if (std::vector<UndoEntry>* j =
+          cfg_.track_aborts ? undo_.find(t) : nullptr) {
+    // Committed: register the older heads its stores shadowed.
+    for (const UndoEntry& e : *j) {
+      if (e.shadowed != kNullBlock &&
+          pool_[e.shadowed].generation == e.shadowed_gen) {
+        gc_->on_shadowed(e.shadowed, e.version);
+      }
+    }
+    undo_.erase(t);
+  }
   gc_->task_end(t);
-  if (cfg_.track_aborts) undo_.erase(t);  // committed: nothing to roll back
   cur_task_[static_cast<std::size_t>(cur_core())] = kNoTask;
   core_counters_[static_cast<std::size_t>(cur_core())].tasks_executed++;
 }
@@ -517,84 +502,72 @@ void VersionStore::abort_task(TaskId t) {
                  "abort_task(" + std::to_string(t) +
                      ") requires OStructConfig::track_aborts");
   }
-  std::vector<UndoEntry>* j = undo_.find(t);
-  UndoReplayCounts undone;
-  if (j != nullptr) {
-    // Newest effect first with per-entry revalidation — the shared replay
-    // discipline of core/undo_journal.hpp. Nested same-slot stores restore
-    // cleanly because the later version is removed before the earlier one
-    // becomes head again.
-    undone = replay_undo_newest_first(
-        *j,
-        [&](const UndoEntry& e) {
-          if (!slots_[e.slot].allocated) return false;  // released wholesale
-          // Remove the created version, if it still is the one we created
-          // (the generation moves when a block is freed and reissued).
-          VersionBlock& vb = pool_[e.block];
-          if (vb.generation != e.generation || vb.slot != e.slot ||
-              vb.version != e.version) {
-            return false;
-          }
-          SlotMeta& sm = slots_[e.slot];
-          // Whoever locked the aborted version loses it: their later unlock
-          // faults kNotLockOwner deterministically (the version is gone).
-          vb.locked_by = kNoTask;
-          // Purge any shadow registration of the block itself (a mid-list
-          // insert is born shadowed) before the free bumps its generation.
-          gc_->forget(e.block);
-          sm.nversions--;
-          list_unlink(pool_, &sm.root, e.block);
-          if (charges()) t_.block_reclaimed(e.block, e.slot, e.version);
-          emit_event(telemetry::EventType::kBlockFreed, ostruct_addr(e.slot),
-                     e.version, e.block);
-          pool_.free(e.block);
-          blocks_freed_.inc();
-          // The block this insert shadowed is live again: drop its GC
-          // registration or a later sweep would reclaim the restored head.
-          if (e.shadowed != kNullBlock) {
-            VersionBlock& sb = pool_[e.shadowed];
-            if (sb.generation == e.shadowed_gen &&
-                (sb.state == BlockState::kShadowed ||
-                 sb.state == BlockState::kPending)) {
-              gc_->forget(e.shadowed);
-              sb.state = BlockState::kLive;
-              emit_event(telemetry::EventType::kBlockRestored,
-                         ostruct_addr(e.slot), sb.version, e.shadowed);
-            }
-          }
-          if (charges()) t_.wake_slot(e.slot);
-          return true;
-        },
-        [&](const UndoEntry& e) {
-          if (!slots_[e.slot].allocated) return false;  // released wholesale
-          SlotMeta& sm = slots_[e.slot];
-          const FindResult fr =
-              find_exact(pool_, sm.root, e.version, effective_sorted(sm));
-          // Skip locks already released (voluntarily, or with the aborted
-          // version that carried them) and versions re-locked since.
-          if (!fr.found() || pool_[fr.block].locked_by != t) return false;
-          pool_[fr.block].locked_by = kNoTask;
-          emit_event(telemetry::EventType::kLockRelease, ostruct_addr(e.slot),
-                     e.version, t);
-          if (charges()) t_.wake_slot(e.slot);
-          return true;
-        });
-    undo_.erase(t);
-  }
+  // Newest effect first with per-entry revalidation — the shared replay
+  // discipline of core/undo_journal.hpp. Nested same-slot stores restore
+  // cleanly because the later version is removed before the earlier one
+  // becomes head again.
+  const std::uint64_t undone = replay_abort(
+      undo_[t], abort_stats_,
+      [&](const UndoEntry& e) {
+        if (!slots_[e.slot].allocated) return false;  // released wholesale
+        // Remove the created version, if it still is the one we created
+        // (the generation moves when a block is freed and reissued).
+        VersionBlock& vb = pool_[e.block];
+        if (vb.generation != e.generation || vb.slot != e.slot ||
+            vb.version != e.version) {
+          return false;
+        }
+        SlotMeta& sm = slots_[e.slot];
+        // Whoever locked the aborted version loses it: their later unlock
+        // faults kNotLockOwner deterministically (the version is gone).
+        vb.locked_by = kNoTask;
+        // Purge any shadow registration of the block itself (a mid-list
+        // insert is born shadowed) before the free bumps its generation.
+        gc_->forget(e.block);
+        sm.nversions--;
+        list_unlink(pool_, &sm.root, e.block);
+        if (charges()) t_.block_reclaimed(e.block, e.slot, e.version);
+        emit_event(telemetry::EventType::kBlockFreed, ostruct_addr(e.slot),
+                   e.version, e.block);
+        pool_.free(e.block);
+        blocks_freed_.inc();
+        // The older head this insert shadowed is live again. It was never
+        // registered with the collector (task_end would have), so only
+        // the trace hears of it.
+        if (e.shadowed != kNullBlock &&
+            pool_[e.shadowed].generation == e.shadowed_gen) {
+          emit_event(telemetry::EventType::kBlockRestored,
+                     ostruct_addr(e.slot), pool_[e.shadowed].version,
+                     e.shadowed);
+        }
+        if (charges()) t_.wake_slot(e.slot);
+        return true;
+      },
+      [&](const UndoEntry& e) {
+        if (!slots_[e.slot].allocated) return false;  // released wholesale
+        SlotMeta& sm = slots_[e.slot];
+        const FindResult fr =
+            find_exact(pool_, sm.root, e.version, effective_sorted(sm));
+        // Skip locks already released (voluntarily, or with the aborted
+        // version that carried them) and versions re-locked since.
+        if (!fr.found() || pool_[fr.block].locked_by != t) return false;
+        pool_[fr.block].locked_by = kNoTask;
+        emit_event(telemetry::EventType::kLockRelease, ostruct_addr(e.slot),
+                   e.version, t);
+        if (charges()) t_.wake_slot(e.slot);
+        return true;
+      });
+  undo_.erase(t);
   for (TaskId& ct : cur_task_) {
     if (ct == t) ct = kNoTask;
   }
-  emit_event(telemetry::EventType::kTaskAborted, 0, t, undone.blocks);
-  abort_stats_.tasks_aborted++;
-  abort_stats_.aborted_blocks += undone.blocks;
-  abort_stats_.aborted_locks += undone.locks;
+  emit_event(telemetry::EventType::kTaskAborted, 0, t, undone);
 }
 
 // ---------------------------------------------------------------------------
 // Host-side inspection
 
-std::optional<std::uint64_t> VersionStore::peek_version(OAddr a,
-                                                        Ver v) const {
+std::optional<std::uint64_t> VersionStore::peek_version(OAddr a, Ver v) {
   const std::uint64_t slot = slot_of(a);
   const FindResult fr =
       find_exact(pool_, slots_[slot].root, v, effective_sorted(slots_[slot]));
@@ -602,7 +575,7 @@ std::optional<std::uint64_t> VersionStore::peek_version(OAddr a,
   return pool_[fr.block].data;
 }
 
-std::optional<Ver> VersionStore::newest_version(OAddr a) const {
+std::optional<Ver> VersionStore::newest_version(OAddr a) {
   const std::uint64_t slot = slot_of(a);
   BlockIndex b = slots_[slot].root;
   if (b == kNullBlock) return std::nullopt;
@@ -614,7 +587,7 @@ std::optional<Ver> VersionStore::newest_version(OAddr a) const {
   return best;
 }
 
-std::optional<TaskId> VersionStore::lock_holder(OAddr a, Ver v) const {
+std::optional<TaskId> VersionStore::lock_holder(OAddr a, Ver v) {
   const std::uint64_t slot = slot_of(a);
   const FindResult fr =
       find_exact(pool_, slots_[slot].root, v, effective_sorted(slots_[slot]));
@@ -623,7 +596,7 @@ std::optional<TaskId> VersionStore::lock_holder(OAddr a, Ver v) const {
   return l == kNoTask ? std::nullopt : std::optional<TaskId>(l);
 }
 
-int VersionStore::version_count(OAddr a) const {
+int VersionStore::version_count(OAddr a) {
   const std::uint64_t slot = slot_of(a);
   return list_length(pool_, slots_[slot].root);
 }

@@ -26,12 +26,12 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "core/address_map.hpp"
 #include "core/compressed_line.hpp"
 #include "core/engine_trace.hpp"
+#include "core/fault.hpp"
 #include "core/fault_injection.hpp"
 #include "core/flat_map.hpp"
 #include "core/gc_policy.hpp"
@@ -170,8 +170,7 @@ class VersionStore : public VersionEngine, private GcOwner {
 
   /// True if `a` falls on an allocated O-structure slot.
   bool is_versioned_addr(Addr a) const override {
-    if (a < kOStructBase || (a - kOStructBase) % 8 != 0) return false;
-    const std::uint64_t slot = (a - kOStructBase) / 8;
+    const std::uint64_t slot = ostruct_slot(a);
     return slot < slots_.size() && slots_[slot].allocated;
   }
   /// Fault check for conventional loads/stores (versioned-bit protection).
@@ -180,23 +179,12 @@ class VersionStore : public VersionEngine, private GcOwner {
   }
 
   // ---- Host-side inspection (no timing; tests and tools) ----
-  std::optional<std::uint64_t> peek_version(OAddr a, Ver v) const;
-  std::optional<Ver> newest_version(OAddr a) const;
-  std::optional<TaskId> lock_holder(OAddr a, Ver v) const;
-  int version_count(OAddr a) const;
-  // Facade spellings (non-const: the concurrent sibling takes shard locks).
-  std::optional<std::uint64_t> peek_version(OAddr a, Ver v) override {
-    return std::as_const(*this).peek_version(a, v);
-  }
-  std::optional<Ver> newest_version(OAddr a) override {
-    return std::as_const(*this).newest_version(a);
-  }
-  std::optional<TaskId> lock_holder(OAddr a, Ver v) override {
-    return std::as_const(*this).lock_holder(a, v);
-  }
-  int version_count(OAddr a) override {
-    return std::as_const(*this).version_count(a);
-  }
+  // Non-const, as the facade spells them (the concurrent sibling takes
+  // shard locks).
+  std::optional<std::uint64_t> peek_version(OAddr a, Ver v) override;
+  std::optional<Ver> newest_version(OAddr a) override;
+  std::optional<TaskId> lock_holder(OAddr a, Ver v) override;
+  int version_count(OAddr a) override;
   std::size_t free_blocks() const { return pool_.free_count(); }
 
   /// The reclamation policy behind the GcPolicy seam (selected by
@@ -275,14 +263,12 @@ class VersionStore : public VersionEngine, private GcOwner {
   /// Resolve an O-structure address to its allocated slot; faults on
   /// anything outside the versioned region. Inline: one call per ISA op.
   std::uint64_t slot_of(OAddr a) const {
-    if (a < kOStructBase || (a - kOStructBase) % 8 != 0) fault_unversioned(a);
-    const std::uint64_t slot = (a - kOStructBase) / 8;
+    const std::uint64_t slot = ostruct_slot(a);
     if (slot >= slots_.size() || !slots_[slot].allocated) {
       fault_unversioned(a);
     }
     return slot;
   }
-  [[noreturn]] void fault_unversioned(OAddr a) const;
 
   /// True when cost hooks must be dispatched (no TimingFastPath). The
   /// functional backend's hooks are all no-ops; skipping their virtual
@@ -297,8 +283,6 @@ class VersionStore : public VersionEngine, private GcOwner {
     }
   }
   CoreId cur_core() const { return fp_ != nullptr ? fp_->core : t_.core(); }
-
-  [[noreturn]] void fault_conventional(Addr a) const;
 
   /// Per-attempt preamble: global ordering, injected latency, stats, and
   /// the architectural trace (recorded at first issue only). Inline: runs
@@ -357,15 +341,16 @@ class VersionStore : public VersionEngine, private GcOwner {
   void store_impl(std::uint64_t slot, Ver v, std::uint64_t data);
 
   /// Journal a store/lock for the task running on the current core, when
-  /// track_aborts is on and a task is running. Inline cheap-exit. The
-  /// record type and replay discipline are shared with the concurrent
-  /// engine (core/undo_journal.hpp); this engine fills the block-identity
-  /// fields because its pool recycles indices.
-  void journal(UndoEntry e) {
-    if (!cfg_.track_aborts) return;
+  /// track_aborts is on and a task is running; returns whether it did.
+  /// Inline cheap-exit. The record type and replay discipline are shared
+  /// with the concurrent engine (core/undo_journal.hpp); this engine fills
+  /// the block-identity fields because its pool recycles indices.
+  bool journal(UndoEntry e) {
+    if (!cfg_.track_aborts) return false;
     const TaskId t = cur_task_[static_cast<std::size_t>(cur_core())];
-    if (!undo_active(cfg_.track_aborts, t)) return;
+    if (!undo_active(cfg_.track_aborts, t)) return false;
     undo_[t].push_back(e);
+    return true;
   }
 
   OStructConfig cfg_;

@@ -294,17 +294,15 @@ TEST(ConcurrentAbort, RollsBackStoresLocksAndShadow) {
   EXPECT_EQ(store.newest_version(a).value_or(0), 1u);
   EXPECT_EQ(store.peek_version(a, 1).value_or(0), 111u);
   EXPECT_FALSE(store.lock_holder(a, 1).has_value());
-  const auto s = store.stats();
-  EXPECT_EQ(s.aborts, 1u);
-  EXPECT_EQ(s.aborted_blocks, 2u);
-  EXPECT_EQ(s.aborted_locks, 1u);
-  // The facade view must spell the identical numbers under the identical
-  // field names the serial engine uses (see SerialAbort tests above).
+  // The facade record is the engine's own: the identical numbers under
+  // the identical field names the serial engine uses (see SerialAbort
+  // tests above).
   const EngineStats es =
       static_cast<VersionEngine&>(store).engine_stats();
-  EXPECT_EQ(es.tasks_aborted, s.aborts);
-  EXPECT_EQ(es.aborted_blocks, s.aborted_blocks);
-  EXPECT_EQ(es.aborted_locks, s.aborted_locks);
+  EXPECT_EQ(es.tasks_aborted, 1u);
+  EXPECT_EQ(es.aborted_blocks, 2u);
+  EXPECT_EQ(es.aborted_locks, 1u);
+  EXPECT_EQ(store.stats().aborts.aborted_blocks, es.aborted_blocks);
   EXPECT_TRUE(store.check_integrity().ok) << store.check_integrity().detail;
 
   store.task_begin(7);  // retry
@@ -363,8 +361,9 @@ TEST(ConcurrentAbort, PoolRetriesUnderInjectedExhaustion) {
   EXPECT_EQ(rec.giveups, 0u);
   EXPECT_GE(inj.fired(FaultSite::kBlockPool), 1u);
   EXPECT_GE(rec.retries, 1u);
-  EXPECT_EQ(store.stats().aborts, rec.aborts);
-  EXPECT_EQ(store.engine_stats().tasks_aborted, rec.aborts);
+  // Every retry follows one abort (no giveups, so none aborted without a
+  // retry).
+  EXPECT_EQ(store.engine_stats().tasks_aborted, rec.retries);
   for (int t = 0; t < kTasks; ++t) {
     const OAddr a = base + 8 * static_cast<OAddr>(t);
     const Ver v0 = static_cast<Ver>(t + 1) * 1000;
@@ -424,6 +423,148 @@ TEST(ConcurrentAbort, RealDeadlockTimeoutIsConfigurable) {
     EXPECT_NE(msg.find("still blocked after 50ms"), std::string::npos) << msg;
   }
   store.task_end(1);
+}
+
+// abort_task after a reclaim pass. Task 30's store of version 20's
+// shadower is undone by its abort, so 20 must still be there to become the
+// newest version again: a pass may not treat a version an unfinished task
+// can still roll back as a shadower. The bounded script then ends task 15,
+// unpinning [10, 20), so the next pass retires version 10, which 20
+// shadows; the paper script ends task 15 first, so one pass sees a floor
+// past both shadowers. Either way LOAD-LATEST at cap 30 must read 20, as
+// it did before task 30 ran; returns the version it read, 0 on a fault.
+Ver abort_after_reclaim(VersionEngine& eng, GcPolicyKind policy) {
+  const bool bounded = policy == GcPolicyKind::kBounded;
+  const OAddr a = eng.alloc(2);
+  const OAddr b = a + 8;
+  eng.task_created(15);
+  eng.task_created(30);
+  eng.store_version(a, 20, 200);
+  eng.store_version(a, 10, 100);  // mid-list: 10 shadowed by 20
+  if (!bounded) {
+    eng.task_begin(15);
+    eng.task_end(15);
+  }
+  eng.task_begin(30);
+  eng.store_version(a, 30, 300);  // 20 shadowed by a store 30 can undo
+  eng.store_version(b, 30, 1);    // a reclaim pass
+  eng.abort_task(30);
+  if (bounded) {
+    eng.task_begin(15);
+    eng.task_end(15);
+    eng.task_begin(30);
+    eng.store_version(b, 31, 1);  // a pass with [10, 20) unpinned
+  }
+  Ver found = 0;
+  try {
+    eng.load_latest(a, 30, &found);
+  } catch (const OFault& f) {
+    ADD_FAILURE() << to_string(policy) << ": " << f.what();
+    return 0;
+  }
+  EXPECT_EQ(eng.version_count(a), 1) << to_string(policy);
+  return found;
+}
+
+TEST(AbortAfterReclaim, SerialEngineKeepsTheRestoredVersion) {
+  for (const GcPolicyKind policy :
+       {GcPolicyKind::kPaper, GcPolicyKind::kBounded}) {
+    telemetry::MetricRegistry reg(1);
+    FunctionalTiming timing;
+    OStructConfig cfg;
+    cfg.initial_pool_blocks = 64;
+    cfg.gc_watermark = cfg.initial_pool_blocks + 1;  // collect every alloc
+    cfg.gc_bounded_batch = 1;
+    cfg.track_aborts = true;
+    cfg.gc_policy = policy;
+    VersionStore vs(cfg, 1, reg, timing);
+    timing.set_core(0);
+    EXPECT_EQ(abort_after_reclaim(vs, policy), 20u) << to_string(policy);
+  }
+}
+
+TEST(AbortAfterReclaim, ConcurrentEngineKeepsTheRestoredVersion) {
+  for (const GcPolicyKind policy :
+       {GcPolicyKind::kPaper, GcPolicyKind::kBounded}) {
+    ConcurrencyConfig cfg;
+    cfg.shards = 1;
+    cfg.reclaim_threshold = 1;
+    cfg.track_aborts = true;
+    cfg.gc_policy = policy;
+    cfg.deadlock_timeout_ms = 50;
+    ConcurrentVersionStore store(cfg);
+    EXPECT_EQ(abort_after_reclaim(store, policy), 20u) << to_string(policy);
+    EXPECT_EQ(store.stats().blocks_reclaimed, 1u) << to_string(policy);
+    EXPECT_TRUE(store.check_integrity().ok) << store.check_integrity().detail;
+  }
+}
+
+// The same rule on real threads (tools/run-sanitizers.sh runs this under
+// TSan): workers abort and retry tasks under injected pool exhaustion
+// while task ends register the older heads their stores shadowed and
+// every store's reclaim pass retires what it may. Task t stores version t on
+// two of eight slots and reads the newest version at or below t of a
+// third; each slot must end with the newest version stored on it.
+TEST(ConcurrentAbort, RetriesRaceReclaimPassesUnderBothRules) {
+  for (const GcPolicyKind policy :
+       {GcPolicyKind::kPaper, GcPolicyKind::kBounded}) {
+    ConcurrencyConfig cfg;
+    cfg.track_aborts = true;
+    cfg.shards = 2;
+    cfg.reclaim_threshold = 2;
+    cfg.gc_policy = policy;
+    cfg.max_threads = 8;
+    ConcurrentVersionStore store(cfg);
+    constexpr std::uint64_t kSlots = 8;
+    constexpr TaskId kLast = 200;
+    const OAddr base = store.alloc(kSlots);
+    for (std::uint64_t s = 0; s < kSlots; ++s) {
+      store.store_version(base + 8 * s, 1, 3);
+    }
+    FaultInjector inj(FaultPlan::parse("pool:0.05,seed=5"));
+    store.attach_fault_injector(&inj);
+    ConcurrentTaskPool pool(store, 4);
+    ConcurrentTaskPool::RetryPolicy rp;
+    rp.max_retries = 200;
+    rp.backoff_base_us = 1;
+    rp.backoff_cap_us = 50;
+    pool.set_retry_policy(rp);
+    std::atomic<int> bad{0};
+    for (TaskId t = 2; t <= kLast; ++t) {
+      pool.create_task(t, [&](TaskId tid) {
+        store.store_version(base + 8 * (tid % kSlots), tid, 3 * tid);
+        store.store_version(base + 8 * ((tid + 3) % kSlots), tid, 3 * tid);
+        Ver found = 0;
+        const std::uint64_t d =
+            store.load_latest(base + 8 * ((tid * 5) % kSlots), tid, &found);
+        if (found > tid || d != 3 * found) bad.fetch_add(1);
+      });
+    }
+    pool.run();
+    store.attach_fault_injector(nullptr);
+    EXPECT_EQ(bad.load(), 0) << to_string(policy);
+    EXPECT_EQ(pool.recovery_stats().giveups, 0u) << to_string(policy);
+    EXPECT_GE(store.engine_stats().tasks_aborted, 1u) << to_string(policy);
+    for (std::uint64_t s = 0; s < kSlots; ++s) {
+      TaskId newest = 1;
+      for (TaskId t = 2; t <= kLast; ++t) {
+        if (t % kSlots == s || (t + 3) % kSlots == s) newest = t;
+      }
+      const OAddr a = base + 8 * s;
+      EXPECT_EQ(store.newest_version(a).value_or(0), newest);
+      EXPECT_EQ(store.peek_version(a, newest).value_or(0), 3 * newest);
+    }
+    // Everything committed: the next stores' passes may retire what the
+    // run left shadowed (how much the run itself retired depends on how
+    // far the oldest unfinished task got).
+    store.task_begin(kLast + 1);
+    for (std::uint64_t s = 0; s < kSlots; ++s) {
+      store.store_version(base + 8 * s, kLast + 1, 1);
+    }
+    store.task_end(kLast + 1);
+    EXPECT_GT(store.stats().blocks_reclaimed, 0u) << to_string(policy);
+    EXPECT_TRUE(store.check_integrity().ok) << store.check_integrity().detail;
+  }
 }
 
 }  // namespace

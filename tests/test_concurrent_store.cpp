@@ -8,8 +8,10 @@
 // x86".
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <future>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -441,10 +443,12 @@ TEST(ConcurrentStore, TaskCreatedAfterAllEndedKeepsItsVersions) {
   EXPECT_EQ(store.stats().blocks_reclaimed, 0u);
 }
 
-// One block can carry two shadow entries: born shadowed mid-list, then
-// shadowed again at the head once its newer neighbours have left the chain
-// (one reclaimed, one rolled back). The pass that finds both retires the
-// block once and drops the other entry; no later pass trips over it.
+// Block(5) would carry two shadow entries here (born shadowed mid-list,
+// then shadowed again at the head once its newer neighbours left the
+// chain) if a pass retired version 10, which task 12's store shadows,
+// before 12 aborts. Only a committed version shadows, so 10 stays, the
+// abort restores it and block(5) keeps a single entry. Both blocks retire
+// once their ranges unpin, and no later pass trips over a stale entry.
 TEST(ConcurrentStore, DuplicateShadowEntriesRetireTheBlockOnce) {
   ConcurrencyConfig cfg;
   cfg.shards = 1;
@@ -459,33 +463,35 @@ TEST(ConcurrentStore, DuplicateShadowEntriesRetireTheBlockOnce) {
   store.store_version(a, 10, 100);
   store.store_version(a, 5, 50);  // mid-list: entry (5 shadowed by 10)
   store.task_begin(12);
-  store.store_version(a, 12, 120);  // head: entry (10 shadowed by 12)
-  store.store_version(b, 1, 1);     // the pass retires 10, keeps 5
-  EXPECT_EQ(store.slot_versions(a), (Chain{{12, 120}, {5, 50}}));
-  store.abort_task(12);  // rolls back 12 (and b's 1): 5 is the head
+  store.store_version(a, 12, 120);  // head: 10's entry waits for 12's end
+  store.store_version(b, 1, 1);     // the pass keeps 5; 10 has no entry
+  EXPECT_EQ(store.slot_versions(a), (Chain{{12, 120}, {10, 100}, {5, 50}}));
+  store.abort_task(12);  // rolls back 12 (and b's 1): 10 is the head
   store.task_end(12);
-  store.store_version(a, 15, 150);  // head: entry (5 shadowed by 15)
-  EXPECT_EQ(store.stats().blocks_reclaimed, 1u);
+  EXPECT_EQ(store.slot_versions(a), (Chain{{10, 100}, {5, 50}}));
+  store.store_version(a, 15, 150);  // head: entry (10 shadowed by 15)
+  EXPECT_EQ(store.stats().blocks_reclaimed, 0u);
 
   store.task_end(7);
-  store.store_version(b, 2, 2);  // both entries name block(5)
+  store.store_version(b, 2, 2);  // retires 5 and 10
   EXPECT_EQ(store.slot_versions(a), (Chain{{15, 150}}));
   EXPECT_EQ(store.stats().blocks_reclaimed, 2u);
   EXPECT_TRUE(store.check_integrity().ok) << store.check_integrity().detail;
 
-  // The recycled block now holds new versions; a stale entry for it would
-  // send a later pass after version 5 of `a`.
+  // The recycled blocks now hold new versions; a stale entry for one of
+  // them would send a later pass after a version of `a`.
   for (Ver v = 3; v < 8; ++v) store.store_version(b, v, v);
   EXPECT_EQ(store.slot_versions(a), (Chain{{15, 150}}));
   EXPECT_EQ(store.stats().blocks_reclaimed, 6u);
   EXPECT_TRUE(store.check_integrity().ok) << store.check_integrity().detail;
 }
 
-// The same duplicate, with the entries in the other order of outcome: the
-// older entry (5 shadowed by 20, its birth neighbour) is still pinned by
-// task 15, the newer one (5 shadowed by 12, the head that replaced it) is
-// not, so the block retires through the second entry and the first, kept
-// earlier in the pass, must be dropped too.
+// The same script with the entries' outcomes the other way round: block(5)
+// is pinned by task 15 through its birth entry (5 shadowed by 20), and
+// version 20, which task 30's aborted store shadowed, is restored rather
+// than retired, so version 12 lands mid-list under it instead of shadowing
+// block(5) a second time at the head. Everything retires once task 15
+// ends.
 TEST(ConcurrentStore, DuplicateShadowEntryKeptBeforeItsBlockRetires) {
   ConcurrencyConfig cfg;
   cfg.shards = 1;
@@ -500,21 +506,80 @@ TEST(ConcurrentStore, DuplicateShadowEntryKeptBeforeItsBlockRetires) {
   store.store_version(a, 20, 200);
   store.store_version(a, 5, 50);  // mid-list: entry (5 shadowed by 20)
   store.task_begin(30);
-  store.store_version(a, 30, 300);  // head: entry (20 shadowed by 30)
-  store.store_version(b, 1, 1);     // retires 20
-  store.abort_task(30);             // 5 is the head again
+  store.store_version(a, 30, 300);  // head: 20's entry waits for 30's end
+  store.store_version(b, 1, 1);     // keeps 20: task 30 may abort
+  store.abort_task(30);             // 20 is the head again
   store.task_end(30);
-  store.store_version(a, 12, 120);  // head: entry (5 shadowed by 12)
-  EXPECT_EQ(store.slot_versions(a), (Chain{{12, 120}, {5, 50}}));
-  store.store_version(b, 2, 2);  // retires 5 through (5 shadowed by 12)
-  EXPECT_EQ(store.slot_versions(a), (Chain{{12, 120}}));
-  EXPECT_EQ(store.stats().blocks_reclaimed, 2u);
-  // With task 15 gone a kept stale entry would be eligible, and the next
-  // pass would look for version 5 in a chain that no longer has it.
+  store.store_version(a, 12, 120);  // mid-list: entry (12 shadowed by 20)
+  EXPECT_EQ(store.slot_versions(a), (Chain{{20, 200}, {12, 120}, {5, 50}}));
+  store.store_version(b, 2, 2);  // task 15 pins both entries
+  EXPECT_EQ(store.slot_versions(a), (Chain{{20, 200}, {12, 120}, {5, 50}}));
+  EXPECT_EQ(store.stats().blocks_reclaimed, 0u);
   store.task_end(15);
   for (Ver v = 3; v < 6; ++v) store.store_version(b, v, v);
+  EXPECT_EQ(store.slot_versions(a), (Chain{{20, 200}}));
   EXPECT_EQ(store.stats().blocks_reclaimed, 4u);
   EXPECT_TRUE(store.check_integrity().ok) << store.check_integrity().detail;
+}
+
+// A mid-list insert under a head that an unfinished task stored still
+// registers at once, so a block can carry two shadow entries: block(10) is
+// born under version 30, which retires, and task 50's abort then makes it
+// the head, which a host store of `head` shadows again. Whichever entry
+// retires the block, the same pass must drop the other: a later eligible
+// one by the in-pass mark, a pinned one by the purge after the loop.
+// Otherwise, once the pin is gone, every pass on the shard looks for
+// version 10 in a chain that no longer has it. `end_first` are the tasks
+// (of 25 and 50) that end before that pass.
+void duplicate_entry_from_an_aborted_head(Ver head,
+                                          std::vector<TaskId> end_first) {
+  ConcurrencyConfig cfg;
+  cfg.shards = 1;
+  cfg.reclaim_threshold = 1;
+  cfg.gc_policy = GcPolicyKind::kBounded;
+  cfg.track_aborts = true;
+  ConcurrentVersionStore store(cfg);
+  const OAddr a = store.alloc(2);
+  const OAddr b = a + 8;
+  using Chain = std::vector<std::pair<Ver, std::uint64_t>>;
+  // Steps outside task 50, on a thread of their own (rethrows here).
+  auto host = [](auto&& steps) { std::async(std::launch::async, steps).get(); };
+  for (const TaskId t : {25, 40, 50}) store.task_created(t);
+  store.task_begin(50);
+  store.store_version(a, 50, 500);  // journaled, into the empty slot
+  host([&] {
+    store.store_version(a, 30, 300);  // mid-list: entry (30 shadowed by 50)
+    store.store_version(a, 10, 100);  // mid-list: entry (10 shadowed by 30)
+    store.task_end(40);
+    store.store_version(b, 1, 1);  // retires 30; task 25 pins 10
+  });
+  EXPECT_EQ(store.stats().blocks_reclaimed, 1u);
+  store.abort_task(50);  // 10 is the head
+  host([&] {
+    store.store_version(a, head, 7);  // head: entry (10 shadowed by head)
+    for (const TaskId t : end_first) store.task_end(t);
+    store.store_version(b, 2, 2);  // retires 10 through one entry
+    for (const TaskId t : {25, 50}) {
+      if (std::find(end_first.begin(), end_first.end(), t) ==
+          end_first.end()) {
+        store.task_end(t);
+      }
+    }
+  });
+  EXPECT_EQ(store.slot_versions(a), (Chain{{head, 7}})) << head;
+  EXPECT_EQ(store.stats().blocks_reclaimed, 2u) << head;
+  for (Ver v = 3; v < 8; ++v) {
+    EXPECT_NO_THROW(store.store_version(b, v, v)) << head << " " << v;
+  }
+  EXPECT_EQ(store.slot_versions(a), (Chain{{head, 7}})) << head;
+  EXPECT_EQ(store.stats().blocks_reclaimed, 7u) << head;  // and b's 1..5
+  EXPECT_TRUE(store.check_integrity().ok) << store.check_integrity().detail;
+}
+
+TEST(ConcurrentStore, DuplicateEntryFromAnAbortedHeadRetiresOnce) {
+  duplicate_entry_from_an_aborted_head(60, {25});      // 50 pins (10, 60)
+  duplicate_entry_from_an_aborted_head(60, {25, 50});  // both eligible
+  duplicate_entry_from_an_aborted_head(20, {});        // 25 pins (10, 30)
 }
 
 // Three threads create, begin and end tasks while their stores reclaim,
@@ -637,26 +702,86 @@ TEST(ConcurrentStore, TasksCreatedInBulkAreTracked) {
   store.task_end(kLast + 1);
 }
 
-// Serial-engine fault parity for the cases the diff test cannot reach
-// concurrently: duplicate stores, unversioned accesses, unlock by
-// non-owner, rename onto an existing version.
-TEST(ConcurrentStore, FaultParityWithSerialEngine) {
-  ConcurrentVersionStore store;
-  const OAddr a = store.alloc(1);
-  store.store_version(a, 7, 1);
-  EXPECT_THROW(store.store_version(a, 7, 2), OFault);  // duplicate
-  EXPECT_THROW(store.load_version(a + 8, 1), OFault);  // unallocated slot
-  EXPECT_THROW(store.unlock_version(a, 7, 3), OFault);  // never locked
-  store.lock_load_version(a, 7, /*locker=*/3);
-  EXPECT_THROW(store.unlock_version(a, 7, /*owner=*/4), OFault);
-  store.store_version(a, 9, 3);
-  EXPECT_THROW(store.unlock_version(a, 7, 3, /*rename_to=*/9), OFault);
-  store.unlock_version(a, 7, 3);
-  EXPECT_FALSE(store.lock_holder(a, 7).has_value());
+// The ISA misuse faults both engines share (core/fault.hpp): every case
+// raised with the same kind and the same what() text on each engine —
+// zero-slot and injected slot-table allocs, an address outside the
+// versioned region, an unallocated slot, a conventional access, an
+// injected deadlock, unlock of a missing and of a foreign version, a
+// rename onto an existing version, a duplicate store, and a released slot.
+std::vector<std::pair<FaultKind, std::string>> misuse_faults(
+    VersionEngine& eng) {
+  std::vector<std::pair<FaultKind, std::string>> got;
+  auto fault = [&](auto&& op) {
+    try {
+      op();
+      ADD_FAILURE() << "expected an OFault (case " << got.size() << ")";
+    } catch (const OFault& f) {
+      got.emplace_back(f.kind(), f.what());
+    }
+  };
+  FaultInjector inj(FaultPlan::parse("slots@1,deadlock@1"));
+  eng.attach_fault_injector(&inj);
+  fault([&] { eng.alloc(0); });
+  fault([&] { eng.alloc(3); });  // the first slot-table consultation
+  const OAddr a = eng.alloc(1);
+  fault([&] { eng.load_version(kOStructBase - 8, 1); });
+  fault([&] { eng.load_version(a + 8, 1); });
+  fault([&] { eng.check_conventional(a); });
+  fault([&] { eng.load_version(a, 7); });  // blocks: the injected deadlock
+  eng.store_version(a, 7, 1);
+  fault([&] { eng.store_version(a, 7, 2); });
+  fault([&] { eng.unlock_version(a, 8, 3); });
+  fault([&] { eng.unlock_version(a, 7, 3); });  // never locked
+  eng.lock_load_version(a, 7, /*locker=*/3);
+  fault([&] { eng.unlock_version(a, 7, /*owner=*/4); });
+  eng.store_version(a, 9, 3);
+  fault([&] { eng.unlock_version(a, 7, 3, /*rename_to=*/9); });
+  eng.unlock_version(a, 7, 3);
+  EXPECT_FALSE(eng.lock_holder(a, 7).has_value());
+  eng.release(a, 1);
+  fault([&] { eng.load_version(a, 7); });
+  EXPECT_FALSE(eng.is_versioned_addr(a));
+  eng.attach_fault_injector(nullptr);
+  return got;
+}
 
-  store.release(a, 1);
-  EXPECT_THROW(store.load_version(a, 7), OFault);
-  EXPECT_FALSE(store.is_versioned_addr(a));
+TEST(ConcurrentStore, FaultParityWithSerialEngine) {
+  MachineConfig mcfg;
+  mcfg.backend = BackendKind::kFunctional;
+  Env env(mcfg);
+  const auto serial = misuse_faults(env.engine());
+
+  ConcurrencyConfig cfg;
+  cfg.deadlock_timeout_ms = 200;
+  ConcurrentVersionStore store(cfg);
+  const auto concurrent = misuse_faults(store);
+
+  ASSERT_EQ(serial.size(), 12u);
+  ASSERT_EQ(concurrent.size(), serial.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(concurrent[i].first, serial[i].first) << "case " << i;
+    EXPECT_EQ(concurrent[i].second, serial[i].second) << "case " << i;
+  }
+  const std::vector<FaultKind> kinds = {
+      FaultKind::kInvalidAddress,
+      FaultKind::kResourceExhausted,
+      FaultKind::kVersionedAccessToUnversionedPage,
+      FaultKind::kVersionedAccessToUnversionedPage,
+      FaultKind::kConventionalAccessToVersionedPage,
+      FaultKind::kWouldBlock,
+      FaultKind::kVersionAlreadyExists,
+      FaultKind::kNotLockOwner,
+      FaultKind::kNotLockOwner,
+      FaultKind::kNotLockOwner,
+      FaultKind::kRenameTargetExists,
+      FaultKind::kVersionedAccessToUnversionedPage,
+  };
+  for (std::size_t i = 0; i < kinds.size(); ++i) {
+    EXPECT_EQ(serial[i].first, kinds[i]) << serial[i].second;
+  }
+  EXPECT_NE(serial[5].second.find("injected deadlock timeout: LOAD-VERSION"),
+            std::string::npos)
+      << serial[5].second;
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 
 #include "core/concurrent_store.hpp"
 #include "core/fault.hpp"
+#include "core/flat_map.hpp"
 #include "runtime/env.hpp"
 
 namespace osim {
@@ -190,6 +191,25 @@ TEST_F(BoundedGcTest, NoPhaseMachinery) {
 
 // ---------------------------------------------------------------------------
 // GcTaskTracker: the unfinished-task set both engines' GC rules read.
+
+// Insert/erase churn (a task tracker's life: ids created, ended, never
+// reused) must not grow the table with every key it ever held: 1M
+// distinct keys with at most 8 live fit the first table.
+TEST(FlatMap, ChurnKeepsCapacityBounded) {
+  FlatMap<std::uint64_t, int> m;
+  for (std::uint64_t k = 0; k < 1000000; ++k) {
+    m[k] = 1;
+    if (k >= 8) {
+      EXPECT_EQ(m.erase(k - 8), 1u);
+    }
+  }
+  EXPECT_EQ(m.size(), 8u);
+  EXPECT_LE(m.capacity(), 32u);
+  for (std::uint64_t k = 1000000 - 8; k < 1000000; ++k) {
+    EXPECT_TRUE(m.contains(k));
+  }
+  EXPECT_FALSE(m.contains(1000000 - 9));
+}
 
 TEST(GcTaskTracker, RepeatedCreationCountsUntilLastEnd) {
   GcTaskTracker tr;

@@ -159,12 +159,7 @@ int replay_file(const std::string& path, const std::string& record_path) {
   // Replay under the recorded fault plan; the copy also makes the
   // round-trip serialization below re-emit the file's inject line.
   McProgram rprog = *prog;
-  if (!file.inject.empty()) {
-    rprog.cfg.inject_spec = file.inject;
-    rprog.use_oracle = false;
-    rprog.compare_final_state = false;
-    rprog.expect_engine_errors = true;
-  }
+  osim::analysis::inject_faults(rprog, file.inject);
   osim::analysis::ScheduleOutcome out =
       osim::analysis::replay_schedule(rprog, opt, file);
   const std::string round_trip =
@@ -257,17 +252,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     McProgram p = *prog;
-    if (!inject_spec.empty()) {
-      // Which op hits the nth consultation of a site depends on the
-      // schedule, so per-op results legitimately vary across schedules:
-      // skip outcome comparison (oracle and self-reference) and validate
-      // what must still hold everywhere — chain integrity and, with
-      // --checked, the protocol invariants.
-      p.cfg.inject_spec = inject_spec;
-      p.use_oracle = false;
-      p.compare_final_state = false;
-      p.expect_engine_errors = true;
-    }
+    osim::analysis::inject_faults(p, inject_spec);
     return explore_one(p, opt, record_path, compare_reduction);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "osim-mc: %s\n", e.what());

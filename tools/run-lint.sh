@@ -68,6 +68,25 @@ if [ -n "$seq_bad" ]; then
 fi
 echo "run-lint: seqlock OK (every write window in $seq_src is a SeqWrite)"
 
+# Fault lint (toolchain-free, always enforced): the ISA misuse faults both
+# engines raise are worded once, by the helpers in src/core/fault.hpp. An
+# engine that builds one of those faults itself can drift from the other
+# engine's wording.
+fault_src=(src/core/version_store.cpp src/core/version_list.cpp
+           src/core/concurrent_store.cpp)
+fault_kinds='InvalidAddress|VersionedAccessToUnversionedPage'
+fault_kinds+='|ConventionalAccessToVersionedPage|NotLockOwner'
+fault_kinds+='|RenameTargetExists|VersionAlreadyExists'
+fault_re="OFault\\(FaultKind::k($fault_kinds)\\b"
+fault_re+='|injected deadlock timeout|refused \(injected\)'
+fault_bad=$(grep -nE "$fault_re" "${fault_src[@]}" || true)
+if [ -n "$fault_bad" ]; then
+  echo "run-lint: FAULT — raise it through its src/core/fault.hpp helper:"
+  echo "$fault_bad"
+  exit 1
+fi
+echo "run-lint: faults OK (shared ISA faults come from src/core/fault.hpp)"
+
 if ! command -v clang-tidy > /dev/null 2>&1; then
   echo "run-lint: clang-tidy not installed; skipping (install LLVM to lint)"
   exit 0

@@ -105,7 +105,9 @@ cmake --build --preset tsan -j "$jobs" --target test_concurrent_store
 # functional-backend stress, which is fiber-free and TSan-safe too).
 cmake --build --preset tsan -j "$jobs" --target test_gc_policy
 ./build-tsan/tests/test_gc_policy
-# abort_task rollback on real threads, including the pool's retry soak.
+# abort_task rollback on real threads, including the pool's retry soak and
+# aborts and task ends (which register the older heads their stores
+# shadowed) racing reclaim passes (RetriesRaceReclaimPassesUnderBothRules).
 cmake --build --preset tsan -j "$jobs" --target test_abort
 ./build-tsan/tests/test_abort
 
