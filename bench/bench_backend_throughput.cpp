@@ -322,7 +322,6 @@ CellResult run_concurrent_cell(const std::vector<ScriptOp>& script,
                0x100000001b3ull;
   }
 
-  const ConcurrentVersionStore::Stats st = store.stats();
   CellResult r;
   r.checksum = checksum;
   r.exec = "concurrent";
@@ -330,47 +329,8 @@ CellResult run_concurrent_cell(const std::vector<ScriptOp>& script,
   r.ops = static_cast<std::uint64_t>(script.size());
   r.work_seconds = work_seconds;
   r.conc_threads = threads;
-  r.metrics = bench::Json::object();
-  r.metrics["concurrent/ops"] = bench::Json::number(st.ops);
-  r.metrics["concurrent/seq_retries"] = bench::Json::number(st.seq_retries);
-  r.metrics["concurrent/spin_waits"] = bench::Json::number(st.spin_waits);
-  r.metrics["concurrent/parks"] = bench::Json::number(st.parks);
-  r.metrics["concurrent/blocks_allocated"] =
-      bench::Json::number(st.blocks_allocated);
-  r.metrics["concurrent/blocks_reclaimed"] =
-      bench::Json::number(st.blocks_reclaimed);
-  if (cfg.track_aborts) {
-    const RecoveryStats rs = pool.recovery_stats();
-    r.metrics["concurrent/aborts"] =
-        bench::Json::number(st.aborts.tasks_aborted);
-    r.metrics["concurrent/aborted_blocks"] =
-        bench::Json::number(st.aborts.aborted_blocks);
-    r.metrics["concurrent/aborted_locks"] =
-        bench::Json::number(st.aborts.aborted_locks);
-    r.metrics["concurrent/retries"] = bench::Json::number(rs.retries);
-    r.metrics["concurrent/giveups"] = bench::Json::number(rs.giveups);
-    r.metrics["concurrent/backoff_us"] = bench::Json::number(rs.backoff_us);
-  }
-  if (checker != nullptr) {
-    analysis::Checker& c = checker->checker();
-    c.finish();
-    r.checked = true;
-    r.check_errors = c.error_count();
-    r.check = bench::Json::object();
-    r.check["errors"] = bench::Json::number(c.error_count());
-    r.check["warnings"] = bench::Json::number(c.warning_count());
-    r.check["total"] = bench::Json::number(c.total_findings());
-    bench::Json findings = bench::Json::array();
-    for (const analysis::Finding& f : c.findings()) {
-      bench::Json jf = bench::Json::object();
-      jf["severity"] = bench::Json::string(
-          f.severity == analysis::Severity::kError ? "error" : "warning");
-      jf["invariant"] = bench::Json::string(analysis::id(f.invariant));
-      jf["detail"] = bench::Json::string(f.detail);
-      findings.push_back(std::move(jf));
-    }
-    r.check["findings"] = std::move(findings);
-  }
+  r.metrics = bench::metrics_json(store.metrics());
+  if (checker != nullptr) bench::fill_check(checker->checker(), r);
   return r;
 }
 

@@ -62,24 +62,8 @@ Checker::Checker(int num_cores, CheckerOptions opt)
 void Checker::report(Severity sev, Invariant inv,
                      const telemetry::TraceEvent& e, TaskId task,
                      TaskId other, std::string detail) {
-  ++total_;
-  if (sev == Severity::kError || opt_.strict) {
-    ++errors_;
-  } else {
-    ++warnings_;
-  }
-  if (findings_.size() >= opt_.max_findings) return;
-  Finding f;
-  f.severity = sev;
-  f.invariant = inv;
-  f.time = e.time;
-  f.core = e.core;
-  f.addr = e.addr;
-  f.version = e.version;
-  f.task = task;
-  f.other_task = other;
-  f.detail = std::move(detail);
-  findings_.push_back(std::move(f));
+  add({sev, inv, e.time, e.core, e.addr, e.version, task, other,
+       std::move(detail)});
 }
 
 void Checker::add(Finding f) {

@@ -41,8 +41,24 @@ std::atomic<std::uint64_t> g_store_serial{1};
 
 }  // namespace
 
+const ConcurrentVersionStore::CounterName
+    ConcurrentVersionStore::kStatsNames[9] = {
+        {"versioned_ops", &Counters::ops}, {"loads", &Counters::loads},
+        {"stores", &Counters::stores}, {"lock_ops", &Counters::lock_ops},
+        {"seq_retries", &Counters::seq_retries},
+        {"spin_waits", &Counters::spin_waits}, {"parks", &Counters::parks},
+        {"blocks_allocated", &Counters::blocks_allocated},
+        {"blocks_reclaimed", &Counters::blocks_reclaimed}};
+const ConcurrentVersionStore::CounterName
+    ConcurrentVersionStore::kAbortNames[3] = {
+        {"tasks_aborted", &Counters::tasks_aborted},
+        {"aborted_blocks", &Counters::aborted_blocks},
+        {"aborted_locks", &Counters::aborted_locks}};
+
 ConcurrentVersionStore::ConcurrentVersionStore(const ConcurrencyConfig& cfg)
-    : cfg_(cfg), serial_(g_store_serial.fetch_add(1)) {
+    : cfg_(cfg),
+      metrics_(std::max(1, cfg.max_threads)),
+      serial_(g_store_serial.fetch_add(1)) {
   static_assert(offsetof(Shard, chunk) % 64 == 0 &&
                     offsetof(Shard, chunk) >= sizeof(Mutex),
                 "Shard::chunk must not share writer_mu's cache line");
@@ -51,9 +67,18 @@ ConcurrentVersionStore::ConcurrentVersionStore(const ConcurrencyConfig& cfg)
   nshards_ = n;
   shard_mask_ = static_cast<std::uint64_t>(n - 1);
   shards_ = std::make_unique<Shard[]>(static_cast<std::size_t>(n));
-  if (cfg_.max_threads < 1) cfg_.max_threads = 1;
+  cfg_.max_threads = metrics_.num_cores();
   ctxs_ = std::make_unique<ThreadCtx[]>(
       static_cast<std::size_t>(cfg_.max_threads));
+  // Registered like the serial engine's PerCoreCounters: the hot path
+  // bumps ctx fields, the registry reads them one ThreadCtx apart.
+  const Counters* base = &ctxs_[0].local;
+  metrics_.counter_fields_external(telemetry::Component::kOsm, base,
+                                   kStatsNames, sizeof(ThreadCtx));
+  if (cfg_.track_aborts) {
+    metrics_.counter_fields_external(telemetry::Component::kOsm, base,
+                                     kAbortNames, sizeof(ThreadCtx));
+  }
   inj_.build_from_spec(cfg_.inject_spec);
 }
 
@@ -91,8 +116,8 @@ int ConcurrentVersionStore::ctx_id() {
   if (id >= cfg_.max_threads) fault_too_many_threads(cfg_.max_threads);
 #else
   // Bounded CAS: nctx_ must never exceed max_threads even transiently —
-  // min_active_epoch() and stats() iterate ctxs_[0..nctx_), so an
-  // over-incremented count would send them past the end of the array.
+  // min_active_epoch() iterates ctxs_[0..nctx_), so an over-incremented
+  // count would send it past the end of the array.
   int id = nctx_.load(std::memory_order_relaxed);
   for (;;) {
     if (id >= cfg_.max_threads) fault_too_many_threads(cfg_.max_threads);
@@ -312,11 +337,13 @@ OAddr ConcurrentVersionStore::alloc(std::size_t slots) {
 }
 
 void ConcurrentVersionStore::release(OAddr base, std::size_t slots) {
+  // Validate the whole range first: a bad slot faults with none released.
   const std::uint64_t first = resolve(base).slot;
+  for (std::uint64_t s = first + 1; s < first + slots; ++s) {
+    resolve(ostruct_addr(s));
+  }
   for (std::uint64_t s = first; s < first + slots; ++s) {
-    CSlot* sp = slot_ptr(s);
-    if (sp == nullptr) fault_unversioned(ostruct_addr(s));
-    CSlot& sl = *sp;
+    CSlot& sl = *slot_ptr(s);
     Shard& sh = shard_of(s);
     {
       HookedLock g(*this, sh);
@@ -373,7 +400,7 @@ std::uint32_t ConcurrentVersionStore::alloc_block(ThreadCtx& c, Shard& sh) {
                      " block pool exhausted (injected) during store by task " +
                      std::to_string(c.cur_task));
   }
-  if (sh.shadowed.size() >= cfg_.reclaim_threshold) maybe_reclaim(sh);
+  if (sh.shadowed.size() >= cfg_.reclaim_threshold) maybe_reclaim(c, sh);
   if (sh.free_list.empty() && !sh.limbo.empty()) {
     // Harvest limbo blocks whose grace period has passed: no active reader
     // pinned an epoch at or before the retirement epoch, so no optimistic
@@ -407,7 +434,7 @@ std::uint32_t ConcurrentVersionStore::alloc_block(ThreadCtx& c, Shard& sh) {
   return sh.next_fresh++;
 }
 
-void ConcurrentVersionStore::maybe_reclaim(Shard& sh) {
+void ConcurrentVersionStore::maybe_reclaim(ThreadCtx& c, Shard& sh) {
   // Injected GC delay: skip this pass entirely. Callers treat a delayed
   // sweep exactly like an empty one, so pressure just builds until a later
   // consultation lets a pass through.
@@ -522,7 +549,7 @@ void ConcurrentVersionStore::maybe_reclaim(Shard& sh) {
     for (const std::uint32_t b : gone) retiring[b] = false;
   }
   sh.shadowed.swap(keep);
-  sh.reclaimed.fetch_add(gone.size(), std::memory_order_relaxed);
+  c.local.blocks_reclaimed += gone.size();
   if (!gone.empty()) {
     raise_gc_floor(creation_.gc_floor, max_shadower);
     sched_point(SchedKind::kGcFloorRaise, 0);
@@ -643,10 +670,6 @@ void ConcurrentVersionStore::request_stop() {
 
 void ConcurrentVersionStore::reset_stop() {
   stop_.store(false, std::memory_order_release);
-}
-
-void ConcurrentVersionStore::attach_tracer(telemetry::Tracer* tracer) {
-  tracer_ = tracer;
 }
 
 void ConcurrentVersionStore::emit(telemetry::EventType type, OpCode op,
@@ -1218,8 +1241,10 @@ void ConcurrentVersionStore::abort_task(TaskId t) {
     wake(sh);
     return true;
   };
-  const std::uint64_t undone =
-      replay_abort(c.undo, c.local.aborts, undo_one, undo_one);
+  const AbortTally undone = replay_abort(c.undo, undo_one, undo_one);
+  ++c.local.tasks_aborted;
+  c.local.aborted_blocks += undone.blocks;
+  c.local.aborted_locks += undone.locks;
   c.undo.clear();
   if (c.cur_task == t) c.cur_task = kNoTask;
   if (freed_any) {
@@ -1228,7 +1253,7 @@ void ConcurrentVersionStore::abort_task(TaskId t) {
     advance_epoch();
   }
   if (tracing()) {
-    emit(telemetry::EventType::kTaskAborted, OpCode{}, 0, t, undone);
+    emit(telemetry::EventType::kTaskAborted, OpCode{}, 0, t, undone.blocks);
   }
 }
 
@@ -1283,28 +1308,9 @@ ConcurrentVersionStore::slot_versions(OAddr a) {
 }
 
 ConcurrentVersionStore::Stats ConcurrentVersionStore::stats() const {
-  // Quiescent-only: per-thread counters are owner-written plain fields;
-  // call after a run has joined (the pool's join provides the
-  // happens-before edge).
-  Stats s;
-  const int n = nctx_.load(std::memory_order_acquire);
-  for (int i = 0; i < n; ++i) {
-    const Stats& l = ctxs_[i].local;
-    s.ops += l.ops;
-    s.loads += l.loads;
-    s.stores += l.stores;
-    s.lock_ops += l.lock_ops;
-    s.seq_retries += l.seq_retries;
-    s.spin_waits += l.spin_waits;
-    s.parks += l.parks;
-    s.blocks_allocated += l.blocks_allocated;
-    s.aborts.tasks_aborted += l.aborts.tasks_aborted;
-    s.aborts.aborted_blocks += l.aborts.aborted_blocks;
-    s.aborts.aborted_locks += l.aborts.aborted_locks;
-  }
-  for (int i = 0; i < nshards_; ++i) {
-    s.blocks_reclaimed +=
-        shards_[i].reclaimed.load(std::memory_order_relaxed);
+  Counters s;
+  for (const auto& [name, field] : kStatsNames) {
+    s.*field = metrics_.total(telemetry::Component::kOsm, name);
   }
   return s;
 }

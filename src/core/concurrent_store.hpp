@@ -71,6 +71,7 @@
 #include "core/undo_journal.hpp"
 #include "core/version_block.hpp"
 #include "core/version_engine.hpp"
+#include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
 namespace osim {
@@ -119,6 +120,7 @@ struct ConcurrencyConfig {
 /// (bounded by max_threads).
 class ConcurrentVersionStore : public VersionEngine {
  public:
+  /// A quiescent snapshot of the registry's totals (see stats()).
   struct Stats {
     std::uint64_t ops = 0;           ///< versioned ISA ops executed
     std::uint64_t loads = 0;         ///< LOAD-VERSION / LOAD-LATEST
@@ -129,7 +131,6 @@ class ConcurrentVersionStore : public VersionEngine {
     std::uint64_t parks = 0;         ///< blocked ops that slept on the CV
     std::uint64_t blocks_allocated = 0;
     std::uint64_t blocks_reclaimed = 0;  ///< shadowed blocks recycled
-    EngineStats aborts;  ///< abort_task() accounting, the facade's record
   };
 
   explicit ConcurrentVersionStore(const ConcurrencyConfig& cfg = {});
@@ -200,7 +201,7 @@ class ConcurrentVersionStore : public VersionEngine {
   /// writer lock, so attached runs are slower but produce a linearized
   /// event stream the osim-check invariants understand. Call before any
   /// ISA op; `num cores` reported to the checker should be max_threads.
-  void attach_tracer(telemetry::Tracer* tracer);
+  void attach_tracer(telemetry::Tracer* tracer) { tracer_ = tracer; }
 
   /// Facade spelling of the same seam: the first call attaches (and
   /// returns) an engine-owned tracer, switching the store into
@@ -244,9 +245,11 @@ class ConcurrentVersionStore : public VersionEngine {
   /// All live versions of a slot, newest first (stress-test comparisons).
   std::vector<std::pair<Ver, std::uint64_t>> slot_versions(OAddr a);
 
+  /// The engine's registry, max_threads wide: slot i is registered thread
+  /// i's counters. Quiescent reads only (after the workers joined).
+  telemetry::MetricRegistry& metrics() override { return metrics_; }
+  /// The Stats totals, read from the registry (quiescent, like metrics()).
   Stats stats() const;
-  /// Facade-level abort accounting (same record as the serial engine).
-  EngineStats engine_stats() const override { return stats().aborts; }
   const ConcurrencyConfig& config() const { return cfg_; }
 
  private:
@@ -309,9 +312,6 @@ class ConcurrentVersionStore : public VersionEngine {
     // maybe_reclaim's per-pass mark of the blocks it retired, indexed by
     // block; every mark is cleared before the pass returns.
     std::vector<bool> retiring OSIM_GUARDED_BY(writer_mu);
-    // Incremented under writer_mu; atomic so stats() may read it without
-    // the lock.
-    std::atomic<std::uint64_t> reclaimed{0};
     // Dense trace-wide block ids for checker runs (local ids repeat across
     // shards; the lifecycle checker needs one id space). Lazy, writer_mu.
     std::vector<std::uint32_t> trace_ids OSIM_GUARDED_BY(writer_mu);
@@ -329,12 +329,25 @@ class ConcurrentVersionStore : public VersionEngine {
   // block's whole linked lifetime — so the generation fields stay
   // defaulted and revalidation is the chain walk under the shard lock.
 
+  /// A thread's counters: the Stats fields, then the abort counts. Plain
+  /// owner-written words the registry reads as external storage.
+  struct Counters : Stats {
+    std::uint64_t tasks_aborted = 0;   ///< abort_task() rollbacks
+    std::uint64_t aborted_blocks = 0;  ///< created versions they undid
+    std::uint64_t aborted_locks = 0;   ///< held locks they released
+  };
+
+  using CounterName = std::pair<const char*, std::uint64_t Counters::*>;
+  /// Registry names (osm/<name>) of the Stats fields, and of the abort
+  /// counts, which are registered only with track_aborts.
+  static const CounterName kStatsNames[9], kAbortNames[3];
+
   /// Per-registered-thread state, cache-line padded: the epoch pin is read
   /// by reclaimers, the counters, task id and journal are owner-only.
   struct alignas(64) ThreadCtx {
     std::atomic<std::uint64_t> epoch{kIdleEpoch};  ///< kIdleEpoch = not reading
     TaskId cur_task = kNoTask;
-    Stats local;
+    Counters local;
     std::vector<UndoEntry> undo;  ///< rollback journal (track_aborts)
   };
 
@@ -470,7 +483,8 @@ class ConcurrentVersionStore : public VersionEngine {
   // ---- Block pool (writer_mu held) ----
   std::uint32_t alloc_block(ThreadCtx& c, Shard& sh)
       OSIM_REQUIRES(sh.writer_mu);
-  void maybe_reclaim(Shard& sh) OSIM_REQUIRES(sh.writer_mu);
+  /// Counts what it retires into `c`, the thread running the pass.
+  void maybe_reclaim(ThreadCtx& c, Shard& sh) OSIM_REQUIRES(sh.writer_mu);
 
   // ---- Reads ----
   struct ReadOutcome {
@@ -558,6 +572,8 @@ class ConcurrentVersionStore : public VersionEngine {
   // Thread registry.
   std::unique_ptr<ThreadCtx[]> ctxs_;
   std::atomic<int> nctx_{0};
+  /// Reads every ctxs_[i].local field as external storage.
+  telemetry::MetricRegistry metrics_;
   const std::uint64_t serial_;  ///< distinguishes stores in thread-local maps
 
   EpochClock global_epoch_;

@@ -182,7 +182,6 @@ void BoundedSpacePolicy::forget(BlockIndex b) {
 }
 
 std::uint64_t BoundedSpacePolicy::sweep() {
-  ++nsweeps_;
   sweeps_.inc();
   std::uint64_t reclaimed = 0;
   Ver max_shadower = 0;

@@ -307,9 +307,6 @@ class BoundedSpacePolicy final : public GcPolicy {
   std::size_t pending_size() const override { return 0; }
   Ver fence() const override { return 0; }
 
-  /// Sweeps run since construction (test/telemetry visibility).
-  std::uint64_t sweeps() const { return nsweeps_; }
-
  private:
   struct Tracked {
     BlockIndex block;
@@ -333,7 +330,6 @@ class BoundedSpacePolicy final : public GcPolicy {
   std::vector<Tracked> keep_;  ///< sweep scratch, reused across sweeps
   std::size_t min_batch_;
   std::size_t survivors_ = 0;  ///< tracked size after the last sweep
-  std::uint64_t nsweeps_ = 0;
 };
 
 /// Policy factory: reads cfg.gc_policy (and the bounded policy's batch

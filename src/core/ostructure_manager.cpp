@@ -15,7 +15,7 @@ void MachineTimingModel::bind(VersionStore* store) {
     if (is_compressed_addr(line)) {
       auto& map = comp_[static_cast<std::size_t>(core)];
       if (map.erase(slot_of_compressed(line)) > 0) {
-        store_->compressed_discards_counter().inc();
+        store_->timing_metrics().compressed_discards.inc();
       }
     }
   });
@@ -42,10 +42,10 @@ void MachineTimingModel::comp_install(std::uint64_t slot,
   CompressedLine& cl = comp_[static_cast<std::size_t>(core)][slot];
   const std::uint64_t rejected_before = cl.range_rejections();
   if (cl.install(e)) {
-    store_->compressed_installs_counter().inc();
+    store_->timing_metrics().compressed_installs.inc();
   } else {
-    store_->compress_overflows_counter().inc(cl.range_rejections() -
-                                             rejected_before);
+    store_->timing_metrics().compress_overflows.inc(cl.range_rejections() -
+                                                    rejected_before);
   }
   // Materialize the line in the L1 tag array (hardware builds it locally).
   m_.memsys().install_line(core, compressed_addr(slot), /*dirty=*/true);
@@ -128,7 +128,7 @@ void MachineTimingModel::lookup_done(std::uint64_t slot, const FindResult& fr,
   VersionStore::PerCoreCounters& pc = store_->counters(core);
   pc.full_lookups++;
   pc.walk_blocks += static_cast<std::uint64_t>(fr.blocks_walked);
-  store_->walk_length_hist().observe(
+  store_->timing_metrics().walk_length.observe(
       static_cast<std::uint64_t>(fr.blocks_walked));
   AccessOptions nofill;
   nofill.fill_l1 = !cfg_.pollution_avoidance;
@@ -214,8 +214,9 @@ void MachineTimingModel::block_reclaimed(BlockIndex b, std::uint64_t slot,
   // versioned ops and TASK-END), so the clock is valid for the lifetime
   // and lag distributions.
   const Cycles now = m_.now();
-  store_->version_lifetime_hist().observe(now - stamp_of(block_born_, b));
-  store_->reclaim_lag_hist().observe(now - stamp_of(block_shadowed_at_, b));
+  VersionStore::TimingMetrics& tm = store_->timing_metrics();
+  tm.version_lifetime.observe(now - stamp_of(block_born_, b));
+  tm.reclaim_lag.observe(now - stamp_of(block_shadowed_at_, b));
 }
 
 void MachineTimingModel::slot_released(std::uint64_t slot) {

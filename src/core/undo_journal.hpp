@@ -30,10 +30,11 @@
 // makes the live version again (DESIGN.md, GcPolicy seam).
 //
 // Both engines journal through the same guard (undo_active) and replay
-// through the same newest-first driver (replay_abort), which also counts
-// the abort into the engine's EngineStats; only the per-entry undo
-// actions — plain list surgery vs. seqlock-windowed unlink — stay
-// engine-specific, passed in as callbacks.
+// through the same newest-first driver (replay_abort), which tallies what
+// the abort undid for the engine's osm/tasks_aborted, osm/aborted_blocks
+// and osm/aborted_locks counters; only the per-entry undo actions — plain
+// list surgery vs. seqlock-windowed unlink — stay engine-specific, passed
+// in as callbacks.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +42,6 @@
 
 #include "core/types.hpp"
 #include "core/version_block.hpp"
-#include "core/version_engine.hpp"
 
 namespace osim {
 
@@ -69,25 +69,27 @@ inline bool undo_active(bool track_aborts, TaskId cur_task) {
   return track_aborts && cur_task != kNoTask;
 }
 
-/// One abort: replay `journal` newest-first through the engine's undo
-/// actions and count it into `stats`. Each callback revalidates its entry
-/// (see the invariant above) and returns whether it actually undid
-/// anything. Returns the number of created versions undone.
-template <typename UndoStoreFn, typename UndoLockFn>
-std::uint64_t replay_abort(const std::vector<UndoEntry>& journal,
-                           EngineStats& stats, UndoStoreFn&& undo_store,
-                           UndoLockFn&& undo_lock) {
+/// What one abort undid: created versions unlinked and locks released.
+struct AbortTally {
   std::uint64_t blocks = 0;
+  std::uint64_t locks = 0;
+};
+
+/// One abort: replay `journal` newest-first through the engine's undo
+/// actions. Each callback revalidates its entry (see the invariant above)
+/// and returns whether it actually undid anything.
+template <typename UndoStoreFn, typename UndoLockFn>
+AbortTally replay_abort(const std::vector<UndoEntry>& journal,
+                        UndoStoreFn&& undo_store, UndoLockFn&& undo_lock) {
+  AbortTally undone;
   for (auto it = journal.rbegin(); it != journal.rend(); ++it) {
     if (it->kind == UndoEntry::Kind::kStore) {
-      if (undo_store(*it)) ++blocks;
+      if (undo_store(*it)) ++undone.blocks;
     } else if (undo_lock(*it)) {
-      ++stats.aborted_locks;
+      ++undone.locks;
     }
   }
-  ++stats.tasks_aborted;
-  stats.aborted_blocks += blocks;
-  return blocks;
+  return undone;
 }
 
 }  // namespace osim

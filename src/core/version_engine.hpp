@@ -35,6 +35,7 @@
 #include "core/fault.hpp"
 #include "core/isa.hpp"
 #include "core/types.hpp"
+#include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
 namespace osim {
@@ -45,28 +46,6 @@ class FaultInjector;
 /// the versioned region). Defined here, at the facade, so both engines and
 /// every consumer share one alias.
 using OAddr = Addr;
-
-/// Facade-level abort accounting, identical fields for both engines (the
-/// serial/concurrent drift in what each one counted is fixed here): bench
-/// JSON and osim-report read these regardless of backend. Kept as plain
-/// fields — not MetricRegistry counters — so attaching them costs nothing
-/// and the timed backend's metric dump stays bit-identical.
-struct EngineStats {
-  std::uint64_t tasks_aborted = 0;   ///< abort_task() rollbacks performed
-  std::uint64_t aborted_blocks = 0;  ///< created versions undone by rollbacks
-  std::uint64_t aborted_locks = 0;   ///< held locks released by rollbacks
-};
-
-/// Degradation telemetry of a retrying runtime (the concurrent task pool,
-/// the serial chaos round driver): one vocabulary, one JSON spelling, for
-/// every engine. Aggregated outside the engine because retries/backoff are
-/// runtime policy, not ISA semantics; aborts are counted once, by the
-/// engine (EngineStats::tasks_aborted above).
-struct RecoveryStats {
-  std::uint64_t retries = 0;     ///< task re-runs after an abort
-  std::uint64_t giveups = 0;     ///< recoverable faults past the retry cap
-  std::uint64_t backoff_us = 0;  ///< total backoff sleep, microseconds
-};
 
 class VersionEngine {
  public:
@@ -161,8 +140,10 @@ class VersionEngine {
   virtual int version_count(OAddr a) = 0;
 
   // ---- Shared seams ----
-  /// Abort accounting, same fields either engine (see EngineStats).
-  virtual EngineStats engine_stats() const = 0;
+  /// The one counter record: the registry the engine counts into, under
+  /// the same names on either engine (the osm/ abort counters only with
+  /// track_aborts). Retrying runtimes add their runtime/* counters here.
+  virtual telemetry::MetricRegistry& metrics() = 0;
   /// The engine's event-trace dispatcher. Attaching a sink is how the
   /// protocol checker rides any engine (analysis::attach_checker); on the
   /// concurrent engine the first call switches it into linearized-trace

@@ -8,6 +8,8 @@
 
 namespace osim {
 
+using telemetry::Component;
+
 VersionStore::VersionStore(const OStructConfig& cfg, int num_cores,
                            telemetry::MetricRegistry& reg,
                            TimingModel& timing)
@@ -21,48 +23,37 @@ VersionStore::VersionStore(const OStructConfig& cfg, int num_cores,
       // escapes here; no virtual call runs during construction.
       gc_(make_gc_policy(cfg_, pool_, reg, *this)),
       cur_task_(static_cast<std::size_t>(num_cores), kNoTask),
+      reg_(reg),
       core_counters_(static_cast<std::size_t>(num_cores)),
-      blocks_allocated_(
-          reg.counter(telemetry::Component::kOsm, "blocks_allocated")),
-      blocks_freed_(reg.counter(telemetry::Component::kOsm, "blocks_freed")),
-      os_traps_(reg.counter(telemetry::Component::kOsm, "os_traps")),
-      compressed_installs_(
-          reg.counter(telemetry::Component::kOsm, "compressed_installs")),
-      compressed_discards_(
-          reg.counter(telemetry::Component::kOsm, "compressed_discards")),
-      compress_overflows_(
-          reg.counter(telemetry::Component::kOsm, "compress_overflows")),
-      walk_length_(reg.histogram(telemetry::Component::kOsm, "walk_length",
-                                 {1, 2, 4, 8, 16, 32, 64})),
-      version_lifetime_(reg.histogram(
-          telemetry::Component::kOsm, "version_lifetime_cycles",
-          {64, 256, 1024, 4096, 16384, 65536, 262144, 1048576})),
-      reclaim_lag_(reg.histogram(
-          telemetry::Component::kGc, "reclaim_lag_cycles",
-          {64, 256, 1024, 4096, 16384, 65536, 262144, 1048576})),
+      blocks_allocated_(reg.counter(Component::kOsm, "blocks_allocated")),
+      blocks_freed_(reg.counter(Component::kOsm, "blocks_freed")),
+      os_traps_(reg.counter(Component::kOsm, "os_traps")),
+      timing_metrics_{
+          reg.counter(Component::kOsm, "compressed_installs"),
+          reg.counter(Component::kOsm, "compressed_discards"),
+          reg.counter(Component::kOsm, "compress_overflows"),
+          reg.histogram(Component::kOsm, "walk_length",
+                        {1, 2, 4, 8, 16, 32, 64}),
+          reg.histogram(Component::kOsm, "version_lifetime_cycles",
+                        {64, 256, 1024, 4096, 16384, 65536, 262144, 1048576}),
+          reg.histogram(Component::kGc, "reclaim_lag_cycles",
+                        {64, 256, 1024, 4096, 16384, 65536, 262144, 1048576})},
       ring_(cfg_.trace_capacity,
             telemetry::event_bit(telemetry::EventType::kIsaOp)) {
-  static_assert(sizeof(PerCoreCounters) == 8 * sizeof(std::uint64_t),
-                "stride below assumes a dense all-uint64 struct");
-  constexpr std::size_t kStride =
-      sizeof(PerCoreCounters) / sizeof(std::uint64_t);
-  const PerCoreCounters* base = core_counters_.data();
-  reg.counter_vec_external(telemetry::Component::kOsm, "versioned_ops",
-                           &base->versioned_ops, kStride);
-  reg.counter_vec_external(telemetry::Component::kOsm, "root_loads",
-                           &base->root_loads, kStride);
-  reg.counter_vec_external(telemetry::Component::kOsm, "root_stalls",
-                           &base->root_stalls, kStride);
-  reg.counter_vec_external(telemetry::Component::kOsm, "direct_hits",
-                           &base->direct_hits, kStride);
-  reg.counter_vec_external(telemetry::Component::kOsm, "full_lookups",
-                           &base->full_lookups, kStride);
-  reg.counter_vec_external(telemetry::Component::kOsm, "walk_blocks",
-                           &base->walk_blocks, kStride);
-  reg.counter_vec_external(telemetry::Component::kOsm, "stalls",
-                           &base->stalls, kStride);
-  reg.counter_vec_external(telemetry::Component::kOsm, "tasks_executed",
-                           &base->tasks_executed, kStride);
+  using C = PerCoreCounters;
+  reg.counter_fields_external(
+      Component::kOsm, core_counters_.data(),
+      {{"versioned_ops", &C::versioned_ops}, {"root_loads", &C::root_loads},
+       {"root_stalls", &C::root_stalls}, {"direct_hits", &C::direct_hits},
+       {"full_lookups", &C::full_lookups}, {"walk_blocks", &C::walk_blocks},
+       {"stalls", &C::stalls}, {"tasks_executed", &C::tasks_executed}});
+  // Last, and only when aborts are journaled: runs that never abort keep
+  // their dump byte-identical.
+  if (cfg_.track_aborts) {
+    tasks_aborted_ = reg.counter(Component::kOsm, "tasks_aborted");
+    aborted_blocks_ = reg.counter(Component::kOsm, "aborted_blocks");
+    aborted_locks_ = reg.counter(Component::kOsm, "aborted_locks");
+  }
   if (ring_.enabled()) tracer_.attach(&ring_);
   inj_.build_from_spec(cfg_.inject_spec);
   if (!cfg_.trace_path.empty()) {
@@ -97,7 +88,11 @@ OAddr VersionStore::alloc(std::size_t slots) {
 }
 
 void VersionStore::release(OAddr base, std::size_t slots) {
+  // Validate the whole range first: a bad slot faults with none released.
   const std::uint64_t first = slot_of(base);
+  for (std::uint64_t s = first + 1; s < first + slots; ++s) {
+    slot_of(ostruct_addr(s));
+  }
   for (std::uint64_t s = first; s < first + slots; ++s) {
     SlotMeta& sm = slots_[s];
     // Discard every version of the slot.
@@ -506,8 +501,8 @@ void VersionStore::abort_task(TaskId t) {
   // discipline of core/undo_journal.hpp. Nested same-slot stores restore
   // cleanly because the later version is removed before the earlier one
   // becomes head again.
-  const std::uint64_t undone = replay_abort(
-      undo_[t], abort_stats_,
+  const AbortTally undone = replay_abort(
+      undo_[t],
       [&](const UndoEntry& e) {
         if (!slots_[e.slot].allocated) return false;  // released wholesale
         // Remove the created version, if it still is the one we created
@@ -561,7 +556,10 @@ void VersionStore::abort_task(TaskId t) {
   for (TaskId& ct : cur_task_) {
     if (ct == t) ct = kNoTask;
   }
-  emit_event(telemetry::EventType::kTaskAborted, 0, t, undone);
+  tasks_aborted_.inc();
+  aborted_blocks_.inc(undone.blocks);
+  aborted_locks_.inc(undone.locks);
+  emit_event(telemetry::EventType::kTaskAborted, 0, t, undone.blocks);
 }
 
 // ---------------------------------------------------------------------------

@@ -62,12 +62,9 @@ class VersionStore : public VersionEngine, private GcOwner {
  public:
   /// Per-core operation counters, packed so one versioned op touches a
   /// single cache line of counter state (an op bumps 2-4 of these), and
-  /// aligned to a cache line so adjacent cores' counters never share one —
-  /// the single-threaded backends mask false sharing, but the concurrent
-  /// engine (core/concurrent_store.hpp) and any host-parallel driver bump
-  /// these from real threads. Registered with the registry as
-  /// external-storage counter vectors; timing models bump the lookup-path
-  /// fields through counters().
+  /// aligned to a cache line so adjacent cores' counters never share one.
+  /// Registered as external-storage counter vectors; timing models bump
+  /// the lookup-path fields through counters().
   struct alignas(64) PerCoreCounters {
     std::uint64_t versioned_ops = 0, root_loads = 0, root_stalls = 0;
     std::uint64_t direct_hits = 0, full_lookups = 0, walk_blocks = 0;
@@ -191,7 +188,6 @@ class VersionStore : public VersionEngine, private GcOwner {
   /// OStructConfig::gc_policy; core/gc_policy.hpp).
   GcPolicy& gc() { return *gc_; }
   BlockPool& pool() { return pool_; }
-  const BlockPool& pool() const { return pool_; }
   const OStructConfig& config() const { return cfg_; }
   /// Architectural ring trace of the last N versioned operations (enabled
   /// via OStructConfig::trace_capacity; ISA-op events only).
@@ -210,8 +206,8 @@ class VersionStore : public VersionEngine, private GcOwner {
     inj_.attach(inj);
     if (file_sink_ != nullptr) file_sink_->set_fault_hook(inj);
   }
-  /// Facade-level abort accounting (same fields as the concurrent engine).
-  EngineStats engine_stats() const override { return abort_stats_; }
+  /// The registry passed at construction.
+  telemetry::MetricRegistry& metrics() override { return reg_; }
 
   // ---- State the timing layer reads while charging ----
   // A charged hook may run while the semantic state has already moved on
@@ -226,20 +222,16 @@ class VersionStore : public VersionEngine, private GcOwner {
   PerCoreCounters& counters(CoreId core) {
     return core_counters_[static_cast<std::size_t>(core)];
   }
-  /// Distribution handles the timing layer observes into (registered here
-  /// so the registry's dump order is independent of the backend).
-  telemetry::Histogram& walk_length_hist() { return walk_length_; }
-  telemetry::Histogram& version_lifetime_hist() { return version_lifetime_; }
-  telemetry::Histogram& reclaim_lag_hist() { return reclaim_lag_; }
-  telemetry::Counter& compressed_installs_counter() {
-    return compressed_installs_;
-  }
-  telemetry::Counter& compressed_discards_counter() {
-    return compressed_discards_;
-  }
-  telemetry::Counter& compress_overflows_counter() {
-    return compress_overflows_;
-  }
+  /// The metrics the timing layer counts into (registered here so the
+  /// registry's dump order is independent of the backend).
+  struct TimingMetrics {
+    telemetry::Counter compressed_installs, compressed_discards;
+    telemetry::Counter compress_overflows;
+    telemetry::Histogram walk_length;       ///< blocks touched per full lookup
+    telemetry::Histogram version_lifetime;  ///< alloc -> reclaim, cycles
+    telemetry::Histogram reclaim_lag;       ///< shadowed -> reclaim, cycles
+  };
+  TimingMetrics& timing_metrics() { return timing_metrics_; }
 
  private:
   struct SlotMeta {
@@ -370,20 +362,15 @@ class VersionStore : public VersionEngine, private GcOwner {
   /// config-built injector, detached = one null-check per site.
   FaultShim inj_;
   telemetry::FileSink* file_sink_ = nullptr;  ///< borrowed from tracer_
-  /// Abort accounting behind engine_stats(); plain fields, never registry
-  /// counters, so the timed backend's metric dump stays bit-identical.
-  EngineStats abort_stats_;
 
   // ---- Telemetry ----
+  telemetry::MetricRegistry& reg_;
   std::vector<PerCoreCounters> core_counters_;  ///< fixed; registry reads it
   // Machine-wide counters.
   telemetry::Counter blocks_allocated_, blocks_freed_, os_traps_;
-  telemetry::Counter compressed_installs_, compressed_discards_;
-  telemetry::Counter compress_overflows_;
-  // Distributions (observed off the hot path: walks, reclaims).
-  telemetry::Histogram walk_length_;       ///< blocks touched per full lookup
-  telemetry::Histogram version_lifetime_;  ///< alloc -> reclaim, cycles
-  telemetry::Histogram reclaim_lag_;       ///< shadowed -> reclaim, cycles
+  TimingMetrics timing_metrics_;
+  // Registered only with track_aborts (abort_task faults without it).
+  telemetry::Counter tasks_aborted_, aborted_blocks_, aborted_locks_;
   /// Event fan-out; the config-driven ring and file sinks attach here.
   telemetry::Tracer tracer_;
   telemetry::RingSink ring_;  ///< ISA-op ring (OStructConfig::trace_capacity)

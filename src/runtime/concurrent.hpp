@@ -35,6 +35,7 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -42,8 +43,23 @@
 #include "core/concurrent_store.hpp"
 #include "core/fault.hpp"
 #include "sim/machine.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace osim {
+
+/// A retrying runtime's degradation counters, one slot per worker, in the
+/// engine's registry: runtime/retries (task re-runs after an abort),
+/// runtime/giveups (recoverable faults past the retry cap) and
+/// runtime/backoff_us (backoff slept). Each worker writes only its own
+/// slot. Aborts are the engine's count (osm/tasks_aborted).
+struct RetryCounters {
+  using enum telemetry::Component;
+  explicit RetryCounters(telemetry::MetricRegistry& reg)
+      : retries(reg.counter_vec_shared(kRuntime, "retries")),
+        giveups(reg.counter_vec_shared(kRuntime, "giveups")),
+        backoff_us(reg.counter_vec_shared(kRuntime, "backoff_us")) {}
+  telemetry::CounterVec retries, giveups, backoff_us;
+};
 
 class ConcurrentTaskPool {
  public:
@@ -54,31 +70,35 @@ class ConcurrentTaskPool {
   /// kResourceExhausted (pool/slot-table pressure) — fails the run fast,
   /// the original behaviour. With retries enabled the worker aborts the
   /// task (rolling back its stores and locks via the store's undo
-  /// journal, which requires ConcurrencyConfig::track_aborts), sleeps a
-  /// bounded exponential backoff, and re-runs it.
+  /// journal), sleeps a bounded exponential backoff, and re-runs it.
   struct RetryPolicy {
     int max_retries = 0;                  ///< re-runs per task; 0 = fail fast
     std::uint64_t backoff_base_us = 100;  ///< first retry's sleep
     std::uint64_t backoff_cap_us = 20000; ///< backoff ceiling per sleep
   };
 
+  /// Worker w counts into slot w of the store's registry, so `workers`
+  /// may not exceed ConcurrencyConfig::max_threads.
   ConcurrentTaskPool(ConcurrentVersionStore& store, int workers)
-      : store_(store), workers_(workers < 1 ? 1 : workers) {}
-
-  int workers() const { return workers_; }
-
-  void set_retry_policy(RetryPolicy p) { retry_ = p; }
-  const RetryPolicy& retry_policy() const { return retry_; }
-
-  /// Degradation telemetry, aggregated across workers, in the facade's
-  /// vocabulary (core/version_engine.hpp).
-  RecoveryStats recovery_stats() const {
-    RecoveryStats s;
-    s.retries = retries_.load(std::memory_order_relaxed);
-    s.giveups = giveups_.load(std::memory_order_relaxed);
-    s.backoff_us = backoff_us_.load(std::memory_order_relaxed);
-    return s;
+      : store_(store),
+        workers_(workers < 1 ? 1 : workers),
+        counters_(store.metrics()) {
+    if (workers_ > store.metrics().num_cores()) {
+      throw std::out_of_range("ConcurrentTaskPool: more workers than "
+                              "ConcurrencyConfig::max_threads");
+    }
   }
+
+  /// A policy with retries needs ConcurrencyConfig::track_aborts, since a
+  /// retry rolls the task back first (std::invalid_argument otherwise).
+  void set_retry_policy(RetryPolicy p) {
+    if (p.max_retries > 0 && !store_.config().track_aborts) {
+      throw std::invalid_argument("ConcurrentTaskPool: retries need "
+                                  "ConcurrencyConfig::track_aborts");
+    }
+    retry_ = p;
+  }
+  const RetryPolicy& retry_policy() const { return retry_; }
 
   /// Enqueue a task. Must be called before run(); tasks must be created in
   /// ascending tid order for the progress argument above to hold.
@@ -130,7 +150,7 @@ class ConcurrentTaskPool {
               t = claim(queues[static_cast<std::size_t>((w + v) % workers_)]);
             }
             if (t == nullptr) return;
-            run_task(t->first, t->second);
+            run_task(w, t->first, t->second);
           }
         } catch (...) {
           {
@@ -165,8 +185,8 @@ class ConcurrentTaskPool {
   /// One task, with abort-and-retry degradation. The task stays registered
   /// in the store's unfinished set across an abort, so the retry's
   /// task_begin just rebinds it to this thread; only a successful run
-  /// retires it with task_end.
-  void run_task(TaskId tid, const TaskFn& fn) {
+  /// retires it with task_end. Counts into registry slot `w`.
+  void run_task(int w, TaskId tid, const TaskFn& fn) {
     int attempt = 0;
     for (;;) {
       store_.task_begin(tid);
@@ -179,15 +199,14 @@ class ConcurrentTaskPool {
             f.kind() == FaultKind::kWouldBlock ||
             f.kind() == FaultKind::kResourceExhausted;
         if (!recoverable) throw;
-        const bool can_abort = store_.config().track_aborts;
         if (store_.stopped() || attempt >= retry_.max_retries) {
-          giveups_.fetch_add(1, std::memory_order_relaxed);
+          counters_.giveups.inc(w);
           // Even a failed task must not leak locks or half-built version
           // chains into the post-mortem state.
-          if (can_abort) store_.abort_task(tid);
+          if (store_.config().track_aborts) store_.abort_task(tid);
           throw;
         }
-        if (!can_abort) throw;  // retrying without rollback would corrupt
+        // A retry is left, so set_retry_policy saw track_aborts.
         store_.abort_task(tid);
         const std::uint64_t delay =
             std::min(retry_.backoff_base_us
@@ -195,9 +214,9 @@ class ConcurrentTaskPool {
                      retry_.backoff_cap_us);
         if (delay != 0) {
           std::this_thread::sleep_for(std::chrono::microseconds(delay));
-          backoff_us_.fetch_add(delay, std::memory_order_relaxed);
+          counters_.backoff_us.inc(w, delay);
         }
-        retries_.fetch_add(1, std::memory_order_relaxed);
+        counters_.retries.inc(w);
         ++attempt;
       }
     }
@@ -208,9 +227,7 @@ class ConcurrentTaskPool {
   std::vector<std::pair<TaskId, TaskFn>> tasks_;
   std::function<void()> setup_;
   RetryPolicy retry_;
-  std::atomic<std::uint64_t> retries_{0};
-  std::atomic<std::uint64_t> giveups_{0};
-  std::atomic<std::uint64_t> backoff_us_{0};
+  RetryCounters counters_;
 };
 
 }  // namespace osim

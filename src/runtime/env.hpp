@@ -78,12 +78,8 @@ class Env {
   /// The online protocol checker, when OStructConfig::check_mode enabled
   /// one for this backend; nullptr otherwise.
   analysis::Checker* checker() { return checker_; }
-  telemetry::MetricRegistry& metrics() {
-    return m_ != nullptr ? m_->metrics() : fb_->metrics();
-  }
-  const telemetry::MetricRegistry& metrics() const {
-    return m_ != nullptr ? m_->metrics() : fb_->metrics();
-  }
+  /// The engine's registry: the machine's on the timed backend.
+  telemetry::MetricRegistry& metrics() { return store().metrics(); }
   const MachineConfig& config() const { return cfg_; }
   Cycles elapsed() const {
     return m_ != nullptr ? m_->elapsed() : fb_->elapsed();

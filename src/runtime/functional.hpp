@@ -99,8 +99,6 @@ class FunctionalBackend {
 
   VersionStore& store() { return store_; }
   FunctionalTiming& timing() { return timing_; }
-  telemetry::MetricRegistry& metrics() { return registry_; }
-  const telemetry::MetricRegistry& metrics() const { return registry_; }
   const MachineConfig& config() const { return cfg_; }
 
   /// Queue a body for `core`. Bodies run in spawn order, each to completion.

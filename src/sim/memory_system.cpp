@@ -14,27 +14,13 @@ MemorySystem::MemorySystem(const MachineConfig& cfg,
       counters_(static_cast<std::size_t>(cfg.num_cores)),
       l2_(cfg.l2_config()) {
   assert(cfg.num_cores >= 1 && cfg.num_cores <= 64);
-  static_assert(sizeof(PerCoreCounters) == 8 * sizeof(std::uint64_t),
-                "stride below assumes a dense all-uint64 struct");
-  constexpr std::size_t kStride =
-      sizeof(PerCoreCounters) / sizeof(std::uint64_t);
-  using telemetry::Component;
-  const PerCoreCounters* base = counters_.data();
-  reg.counter_vec_external(Component::kCache, "loads", &base->loads, kStride);
-  reg.counter_vec_external(Component::kCache, "stores", &base->stores,
-                           kStride);
-  reg.counter_vec_external(Component::kCache, "l1_hits", &base->l1_hits,
-                           kStride);
-  reg.counter_vec_external(Component::kCache, "l1_misses", &base->l1_misses,
-                           kStride);
-  reg.counter_vec_external(Component::kCache, "l2_hits", &base->l2_hits,
-                           kStride);
-  reg.counter_vec_external(Component::kCache, "l2_misses", &base->l2_misses,
-                           kStride);
-  reg.counter_vec_external(Component::kCache, "remote_l1_fills",
-                           &base->remote_l1_fills, kStride);
-  reg.counter_vec_external(Component::kCache, "upgrades", &base->upgrades,
-                           kStride);
+  using C = PerCoreCounters;
+  reg.counter_fields_external(
+      telemetry::Component::kCache, counters_.data(),
+      {{"loads", &C::loads}, {"stores", &C::stores}, {"l1_hits", &C::l1_hits},
+       {"l1_misses", &C::l1_misses}, {"l2_hits", &C::l2_hits},
+       {"l2_misses", &C::l2_misses}, {"remote_l1_fills", &C::remote_l1_fills},
+       {"upgrades", &C::upgrades}});
   l1s_.reserve(static_cast<std::size_t>(cfg.num_cores));
   for (int i = 0; i < cfg.num_cores; ++i) l1s_.emplace_back(cfg.l1);
 }

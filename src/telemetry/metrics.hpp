@@ -19,6 +19,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/types.hpp"
@@ -26,8 +27,9 @@
 namespace osim::telemetry {
 
 /// The simulator components that own metrics. Used as a namespace prefix in
-/// dumps ("osm/full_lookups") and for grouped queries.
-enum class Component : std::uint8_t { kCore, kCache, kOsm, kGc };
+/// dumps ("osm/full_lookups") and for grouped queries. kRuntime holds the
+/// retrying task runtimes' degradation counters.
+enum class Component : std::uint8_t { kCore, kCache, kOsm, kGc, kRuntime };
 
 inline const char* to_string(Component c) {
   switch (c) {
@@ -39,6 +41,8 @@ inline const char* to_string(Component c) {
       return "osm";
     case Component::kGc:
       return "gc";
+    case Component::kRuntime:
+      return "runtime";
   }
   assert(!"unknown Component");
   return "?";
@@ -160,6 +164,15 @@ class MetricRegistry {
   // ---- Registration (cold path; construction time only) ----
   Counter counter(Component c, std::string name);
   CounterVec counter_vec(Component c, std::string name);
+  /// counter_vec(), unless `name` is already registered: then a handle to
+  /// that registry-owned vector, so a runtime attached to the same
+  /// registry more than once keeps counting into one metric.
+  CounterVec counter_vec_shared(Component c, std::string name) {
+    const Metric* m = find(c, name);
+    assert(m == nullptr || m->slots != nullptr);
+    return m != nullptr ? CounterVec(m->slots.get())
+                        : counter_vec(c, std::move(name));
+  }
   /// Register a per-core counter whose storage the *component* owns: slot i
   /// is read from base[i * stride]. For hot paths that touch several of a
   /// core's counters per event, a packed per-core struct keeps them on one
@@ -167,6 +180,19 @@ class MetricRegistry {
   /// `base` must remain valid and immovable for the registry's lifetime.
   void counter_vec_external(Component c, std::string name,
                             const std::uint64_t* base, std::size_t stride);
+  /// counter_vec_external() for each named std::uint64_t field of T: core
+  /// i's record sits `stride` bytes past core i-1's (default: a T array).
+  template <typename T, std::size_t N>
+  void counter_fields_external(
+      Component c, const T* base,
+      const std::pair<const char*, std::uint64_t T::*> (&fields)[N],
+      std::size_t stride = sizeof(T)) {
+    assert(stride % sizeof(std::uint64_t) == 0);
+    for (const auto& [name, field] : fields) {
+      counter_vec_external(c, name, &(base->*field),
+                           stride / sizeof(std::uint64_t));
+    }
+  }
   Gauge gauge(Component c, std::string name);
   Histogram histogram(Component c, std::string name,
                       std::vector<std::uint64_t> bounds);

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -48,6 +49,19 @@ struct SerialEngine {
   }
 };
 
+// The abort counters, read from the engine's registry under the names
+// both engines register them with.
+struct AbortCounts {
+  std::uint64_t tasks = 0, blocks = 0, locks = 0;
+  friend bool operator==(const AbortCounts&, const AbortCounts&) = default;
+};
+AbortCounts abort_counts(VersionEngine& eng) {
+  const telemetry::MetricRegistry& m = eng.metrics();
+  return {m.total(telemetry::Component::kOsm, "tasks_aborted"),
+          m.total(telemetry::Component::kOsm, "aborted_blocks"),
+          m.total(telemetry::Component::kOsm, "aborted_locks")};
+}
+
 TEST(SerialAbort, RollsBackStoresAndRestoresShadowedHead) {
   SerialEngine e;
   VersionStore& vs = *e.vs;
@@ -69,12 +83,9 @@ TEST(SerialAbort, RollsBackStoresAndRestoresShadowedHead) {
   EXPECT_EQ(vs.newest_version(e.base).value_or(0), 1u);
   EXPECT_EQ(vs.peek_version(e.base, 1).value_or(0), 111u);
   EXPECT_EQ(vs.free_blocks(), free_before);
-  // Abort accounting through the backend-agnostic facade: these are the
-  // fields bench JSON and osim-report read for BOTH engines.
-  const EngineStats es = static_cast<VersionEngine&>(vs).engine_stats();
-  EXPECT_EQ(es.tasks_aborted, 1u);
-  EXPECT_EQ(es.aborted_blocks, 2u);
-  EXPECT_EQ(es.aborted_locks, 0u);
+  // Abort accounting through the facade's registry: these are the
+  // counters bench JSON and osim-report read for BOTH engines.
+  EXPECT_EQ(abort_counts(vs), (AbortCounts{1, 2, 0}));
 
   // The task is still unfinished: a plain task_begin retries it, and the
   // restored head accepts the same stores again.
@@ -108,10 +119,7 @@ TEST(SerialAbort, ReleasesLocksAndUndoesRename) {
   // Journal replay is newest-first: release the lock on 5, unlink the
   // renamed version 5 (one block), then skip the version-1 lock entry —
   // the rename-unlock already released it.
-  const EngineStats es = static_cast<VersionEngine&>(vs).engine_stats();
-  EXPECT_EQ(es.tasks_aborted, 1u);
-  EXPECT_EQ(es.aborted_blocks, 1u);
-  EXPECT_EQ(es.aborted_locks, 1u);
+  EXPECT_EQ(abort_counts(vs), (AbortCounts{1, 1, 1}));
   vs.task_end(2);
 
   // Nothing left locked: a third task can lock version 1 immediately.
@@ -192,7 +200,7 @@ TEST(SerialAbort, InjectedExhaustionAbortRetryConvergesClean) {
     }
   }
   EXPECT_EQ(attempts, 2);
-  EXPECT_EQ(vs.engine_stats().tasks_aborted, 1u);
+  EXPECT_EQ(abort_counts(vs).tasks, 1u);
   EXPECT_EQ(inj.fired(FaultSite::kBlockPool), 1u);
   for (Ver v = 1; v <= 4; ++v) {
     EXPECT_EQ(vs.peek_version(e.base + 8 * (v - 1), v).value_or(0), 100 + v);
@@ -235,8 +243,8 @@ TEST(SerialAbort, BothGcPoliciesRestoreShadowedState) {
 
 // One scripted abort driven purely through the facade: task 1 seeds
 // version 1, task 2 shadows it, stores a second slot, locks version 1,
-// then aborts. Returns the facade-level accounting.
-EngineStats scripted_abort(VersionEngine& eng) {
+// then aborts. Returns the registry's abort counters.
+AbortCounts scripted_abort(VersionEngine& eng) {
   const OAddr base = eng.alloc(2);
   eng.task_created(1);
   eng.task_begin(1);
@@ -254,25 +262,43 @@ EngineStats scripted_abort(VersionEngine& eng) {
   EXPECT_FALSE(eng.peek_version(base, 2).has_value());
   EXPECT_EQ(eng.peek_version(base, 1).value_or(0), 111u);
   EXPECT_FALSE(eng.lock_holder(base, 1).has_value());
-  return eng.engine_stats();
+  return abort_counts(eng);
 }
 
 TEST(AbortStats, FacadeAccountingAgreesAcrossEngines) {
   // The drift this guards against: the engines once counted undone work in
   // backend-private structs with different field meanings. Identical op
-  // streams must now yield field-for-field identical EngineStats.
+  // streams must now yield identical registry counters under one name.
   SerialEngine serial;
-  const EngineStats from_serial = scripted_abort(*serial.vs);
+  const AbortCounts from_serial = scripted_abort(*serial.vs);
 
   ConcurrencyConfig cfg;
   cfg.track_aborts = true;
   ConcurrentVersionStore conc(cfg);
-  const EngineStats from_conc = scripted_abort(conc);
+  const AbortCounts from_conc = scripted_abort(conc);
 
-  EXPECT_EQ(from_serial.tasks_aborted, 1u);
-  EXPECT_EQ(from_conc.tasks_aborted, from_serial.tasks_aborted);
-  EXPECT_EQ(from_conc.aborted_blocks, from_serial.aborted_blocks);
-  EXPECT_EQ(from_conc.aborted_locks, from_serial.aborted_locks);
+  EXPECT_EQ(from_serial, (AbortCounts{1, 2, 1}));
+  EXPECT_EQ(from_conc, from_serial);
+}
+
+TEST(AbortStats, CountersRegisteredOnlyWithTrackAborts) {
+  // Runs that never journal keep their registry dump byte-identical.
+  for (const bool track : {false, true}) {
+    SerialEngine serial(track);
+    ConcurrencyConfig cfg;
+    cfg.track_aborts = track;
+    ConcurrentVersionStore conc(cfg);
+    for (VersionEngine* eng : {static_cast<VersionEngine*>(serial.vs.get()),
+                               static_cast<VersionEngine*>(&conc)}) {
+      for (const char* name :
+           {"tasks_aborted", "aborted_blocks", "aborted_locks"}) {
+        EXPECT_EQ(eng->metrics().find(telemetry::Component::kOsm, name) !=
+                      nullptr,
+                  track)
+            << name;
+      }
+    }
+  }
 }
 
 TEST(ConcurrentAbort, RollsBackStoresLocksAndShadow) {
@@ -294,15 +320,9 @@ TEST(ConcurrentAbort, RollsBackStoresLocksAndShadow) {
   EXPECT_EQ(store.newest_version(a).value_or(0), 1u);
   EXPECT_EQ(store.peek_version(a, 1).value_or(0), 111u);
   EXPECT_FALSE(store.lock_holder(a, 1).has_value());
-  // The facade record is the engine's own: the identical numbers under
-  // the identical field names the serial engine uses (see SerialAbort
-  // tests above).
-  const EngineStats es =
-      static_cast<VersionEngine&>(store).engine_stats();
-  EXPECT_EQ(es.tasks_aborted, 1u);
-  EXPECT_EQ(es.aborted_blocks, 2u);
-  EXPECT_EQ(es.aborted_locks, 1u);
-  EXPECT_EQ(store.stats().aborts.aborted_blocks, es.aborted_blocks);
+  // The identical numbers under the identical registry names the serial
+  // engine uses (see SerialAbort tests above).
+  EXPECT_EQ(abort_counts(store), (AbortCounts{1, 2, 1}));
   EXPECT_TRUE(store.check_integrity().ok) << store.check_integrity().detail;
 
   store.task_begin(7);  // retry
@@ -357,13 +377,22 @@ TEST(ConcurrentAbort, PoolRetriesUnderInjectedExhaustion) {
   pool.run();
 
   EXPECT_EQ(bad.load(), 0);
-  const auto rec = pool.recovery_stats();
-  EXPECT_EQ(rec.giveups, 0u);
+  const telemetry::MetricRegistry& m = store.metrics();
+  const std::uint64_t retries =
+      m.total(telemetry::Component::kRuntime, "retries");
+  EXPECT_EQ(m.total(telemetry::Component::kRuntime, "giveups"), 0u);
   EXPECT_GE(inj.fired(FaultSite::kBlockPool), 1u);
-  EXPECT_GE(rec.retries, 1u);
+  EXPECT_GE(retries, 1u);
   // Every retry follows one abort (no giveups, so none aborted without a
   // retry).
-  EXPECT_EQ(store.engine_stats().tasks_aborted, rec.retries);
+  EXPECT_EQ(abort_counts(store).tasks, retries);
+  // Each worker counts into its own slot, and only pool workers count.
+  const telemetry::MetricRegistry::Metric* per_worker =
+      m.find(telemetry::Component::kRuntime, "retries");
+  ASSERT_NE(per_worker, nullptr);
+  for (std::size_t w = 4; w < per_worker->width; ++w) {
+    EXPECT_EQ(per_worker->slot(w), 0u) << w;
+  }
   for (int t = 0; t < kTasks; ++t) {
     const OAddr a = base + 8 * static_cast<OAddr>(t);
     const Ver v0 = static_cast<Ver>(t + 1) * 1000;
@@ -374,6 +403,51 @@ TEST(ConcurrentAbort, PoolRetriesUnderInjectedExhaustion) {
     }
   }
   EXPECT_TRUE(store.check_integrity().ok) << store.check_integrity().detail;
+}
+
+// A retry rolls the task back first, so the pool refuses a retry policy
+// on a store that keeps no undo journal instead of silently failing fast.
+TEST(ConcurrentAbort, RetryPolicyNeedsTrackAborts) {
+  ConcurrentVersionStore plain;
+  ConcurrentTaskPool pool(plain, 1);
+  ConcurrentTaskPool::RetryPolicy rp;
+  rp.max_retries = 3;
+  EXPECT_THROW(pool.set_retry_policy(rp), std::invalid_argument);
+  EXPECT_EQ(pool.retry_policy().max_retries, 0);
+  rp.max_retries = 0;
+  EXPECT_NO_THROW(pool.set_retry_policy(rp));
+
+  ConcurrencyConfig cfg;
+  cfg.track_aborts = true;
+  ConcurrentVersionStore journaled(cfg);
+  ConcurrentTaskPool retrying(journaled, 1);
+  rp.max_retries = 3;
+  EXPECT_NO_THROW(retrying.set_retry_policy(rp));
+  EXPECT_EQ(retrying.retry_policy().max_retries, 3);
+}
+
+// Worker w counts into registry slot w: a pool wider than the store's
+// registry is refused, and two pools on one store share the counters.
+TEST(ConcurrentAbort, PoolWorkersFitTheStoreRegistry) {
+  ConcurrencyConfig cfg;
+  cfg.max_threads = 4;
+  ConcurrentVersionStore store(cfg);
+  EXPECT_THROW((void)ConcurrentTaskPool(store, 5), std::out_of_range);
+  ConcurrentTaskPool first(store, 4);
+  ConcurrentTaskPool second(store, 2);
+  for (const char* name : {"retries", "giveups", "backoff_us"}) {
+    const telemetry::MetricRegistry::Metric* m =
+        store.metrics().find(telemetry::Component::kRuntime, name);
+    ASSERT_NE(m, nullptr) << name;
+    EXPECT_EQ(m->width, 4u) << name;
+  }
+  // A fail-fast giveup lands in the giving-up worker's slot.
+  second.create_task(1, [](TaskId) {
+    throw OFault(FaultKind::kWouldBlock, "scripted");
+  });
+  EXPECT_THROW(second.run(), SimError);
+  EXPECT_EQ(store.metrics().total(telemetry::Component::kRuntime, "giveups"),
+            1u);
 }
 
 TEST(ConcurrentAbort, InjectedDeadlockNamesOpVersionAddressTask) {
@@ -543,8 +617,10 @@ TEST(ConcurrentAbort, RetriesRaceReclaimPassesUnderBothRules) {
     pool.run();
     store.attach_fault_injector(nullptr);
     EXPECT_EQ(bad.load(), 0) << to_string(policy);
-    EXPECT_EQ(pool.recovery_stats().giveups, 0u) << to_string(policy);
-    EXPECT_GE(store.engine_stats().tasks_aborted, 1u) << to_string(policy);
+    EXPECT_EQ(
+        store.metrics().total(telemetry::Component::kRuntime, "giveups"), 0u)
+        << to_string(policy);
+    EXPECT_GE(abort_counts(store).tasks, 1u) << to_string(policy);
     for (std::uint64_t s = 0; s < kSlots; ++s) {
       TaskId newest = 1;
       for (TaskId t = 2; t <= kLast; ++t) {

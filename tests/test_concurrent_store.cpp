@@ -745,6 +745,44 @@ std::vector<std::pair<FaultKind, std::string>> misuse_faults(
   return got;
 }
 
+// release() validates its whole range before it releases any slot. Slot 1
+// is inside the slot table but unallocated, slot 2 is past its end: both
+// ranges fault on slot 1 and leave slot 0 versioned with its version.
+void release_checks_whole_range(VersionEngine& eng) {
+  const OAddr a = eng.alloc(1);
+  eng.store_version(a, 1, 11);
+  eng.release(eng.alloc(1), 1);
+  for (const std::size_t slots : {2, 3}) {
+    try {
+      eng.release(a, slots);
+      ADD_FAILURE() << "release of " << slots << " slots did not fault";
+    } catch (const OFault& f) {
+      EXPECT_EQ(f.kind(), FaultKind::kVersionedAccessToUnversionedPage);
+      EXPECT_NE(std::string(f.what()).find("slot 1 is not allocated"),
+                std::string::npos)
+          << f.what();
+    }
+    EXPECT_TRUE(eng.is_versioned_addr(a)) << slots;
+    EXPECT_EQ(eng.peek_version(a, 1), std::optional<std::uint64_t>(11));
+  }
+  eng.release(a, 1);
+  EXPECT_FALSE(eng.is_versioned_addr(a));
+}
+
+TEST(ReleaseRange, SerialEngineFaultsBeforeReleasingAny) {
+  MachineConfig mcfg;
+  mcfg.backend = BackendKind::kFunctional;
+  Env env(mcfg);
+  release_checks_whole_range(env.engine());
+}
+
+TEST(ReleaseRange, ConcurrentEngineFaultsBeforeReleasingAny) {
+  ConcurrentVersionStore store;
+  release_checks_whole_range(store);
+  // The released slot went back to the free runs: the next alloc reuses it.
+  EXPECT_EQ(store.alloc(1), kOStructBase);
+}
+
 TEST(ConcurrentStore, FaultParityWithSerialEngine) {
   MachineConfig mcfg;
   mcfg.backend = BackendKind::kFunctional;

@@ -47,6 +47,10 @@ class BoundedGcTest : public ::testing::Test, protected GcOwner {
     gc.on_shadowed(b, s);
     return b;
   }
+  /// Sweeps run so far: the policy's gc/sweeps counter.
+  std::uint64_t sweeps() const {
+    return reg.total(telemetry::Component::kGc, "sweeps");
+  }
 
   BlockPool pool{64};
   telemetry::MetricRegistry reg{1};
@@ -120,11 +124,11 @@ TEST_F(BoundedGcTest, AmortizedSweepTriggersAtBatch) {
   for (Ver v = 1; v <= 3; ++v) {
     shadowed_block(v, v + 1);
     gc.on_store_complete();
-    EXPECT_EQ(gc.sweeps(), 0u);
+    EXPECT_EQ(sweeps(), 0u);
   }
   shadowed_block(4, 5);
   gc.on_store_complete();
-  EXPECT_EQ(gc.sweeps(), 1u);
+  EXPECT_EQ(sweeps(), 1u);
   EXPECT_EQ(reclaimed.size(), 4u);  // no tasks: every range is clear
   EXPECT_EQ(reg.total(telemetry::Component::kGc, "sweeps"), 1u);
   EXPECT_EQ(reg.total(telemetry::Component::kGc, "shadowed_blocks"), 4u);
@@ -138,16 +142,16 @@ TEST_F(BoundedGcTest, SurvivorsRaiseTheNextTriggerPoint) {
     shadowed_block(/*v=*/2, /*s=*/9);  // 3 is in [2, 9): pinned
     gc.on_store_complete();
   }
-  EXPECT_EQ(gc.sweeps(), 1u);  // 4 tracked >= 0 survivors + 4 batch
+  EXPECT_EQ(sweeps(), 1u);  // 4 tracked >= 0 survivors + 4 batch
   EXPECT_TRUE(reclaimed.empty());
   for (int i = 0; i < 3; ++i) {
     shadowed_block(/*v=*/2, /*s=*/9);
     gc.on_store_complete();
-    EXPECT_EQ(gc.sweeps(), 1u);  // 5..7 tracked < 4 survivors + 4 batch
+    EXPECT_EQ(sweeps(), 1u);  // 5..7 tracked < 4 survivors + 4 batch
   }
   shadowed_block(/*v=*/2, /*s=*/9);
   gc.on_store_complete();
-  EXPECT_EQ(gc.sweeps(), 2u);
+  EXPECT_EQ(sweeps(), 2u);
   EXPECT_TRUE(reclaimed.empty());
   gc.task_end(3);  // unpins all eight at once
   EXPECT_EQ(reclaimed.size(), 8u);
@@ -171,11 +175,11 @@ TEST_F(BoundedGcTest, FloorRisesToMaxReclaimedShadower) {
 
 TEST_F(BoundedGcTest, MaybeCollectReportsWhetherWorkRan) {
   EXPECT_FALSE(gc.maybe_collect());  // nothing tracked: no sweep at all
-  EXPECT_EQ(gc.sweeps(), 0u);
+  EXPECT_EQ(sweeps(), 0u);
   gc.task_begin(2);
   shadowed_block(/*v=*/1, /*s=*/4);  // pinned by task 2
   EXPECT_FALSE(gc.maybe_collect());  // swept, freed nothing
-  EXPECT_EQ(gc.sweeps(), 1u);
+  EXPECT_EQ(sweeps(), 1u);
   gc.task_end(2);
 }
 

@@ -44,6 +44,17 @@ TEST(Metrics, CounterVecIsPerCoreAndTotalsAcrossCores) {
   EXPECT_EQ(reg.total(Component::kCache, "hits"), 111u);
 }
 
+TEST(Metrics, SharedCounterVecReusesTheRegisteredSlots) {
+  MetricRegistry reg(2);
+  CounterVec a = reg.counter_vec_shared(Component::kRuntime, "retries");
+  CounterVec b = reg.counter_vec_shared(Component::kRuntime, "retries");
+  a.inc(0);
+  b.inc(1, 2);
+  EXPECT_EQ(reg.metrics().size(), 1u);
+  EXPECT_EQ(reg.total(Component::kRuntime, "retries"), 3u);
+  EXPECT_EQ(reg.dump_str(), "runtime/retries total=3 per_core=[1 2]\n");
+}
+
 TEST(Metrics, GaugeGoesUpAndDown) {
   MetricRegistry reg(1);
   Gauge g = reg.gauge(Component::kGc, "pending");

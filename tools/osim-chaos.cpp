@@ -182,10 +182,14 @@ bool recoverable(const OFault& f) {
          f.kind() == FaultKind::kResourceExhausted;
 }
 
+/// Per-task commit flags, one byte each: pool workers set different tasks'
+/// flags concurrently, which std::vector<bool>'s shared words would race on.
+using Committed = std::vector<char>;
+
 /// FNV over the committed (slot, version, data) triples in task order —
 /// comparable across engines when both converged without giveups.
 std::uint64_t committed_checksum(const std::vector<std::vector<Store3>>& per,
-                                 const std::vector<bool>& committed) {
+                                 const Committed& committed) {
   std::uint64_t h = 0xcbf29ce484222325ull;
   for (std::size_t t = 0; t < per.size(); ++t) {
     if (!committed[t]) continue;
@@ -200,7 +204,7 @@ std::uint64_t committed_checksum(const std::vector<std::vector<Store3>>& per,
 
 struct RoundResult {
   CellResult cell;
-  std::uint64_t giveups = 0;
+  std::uint64_t aborts = 0, retries = 0, giveups = 0;
   bool clean = true;          ///< checker + state verification passed
   std::string first_problem;  ///< empty when clean
 };
@@ -210,11 +214,22 @@ void note(RoundResult& rr, const std::string& what) {
   if (rr.first_problem.empty()) rr.first_problem = what;
 }
 
+/// The round's counters: every metric of the engine's registry into the
+/// cell, the degradation totals into the verdict.
+void record_counters(RoundResult& rr, const telemetry::MetricRegistry& reg,
+                     const std::string& spec) {
+  rr.aborts = reg.total(telemetry::Component::kOsm, "tasks_aborted");
+  rr.retries = reg.total(telemetry::Component::kRuntime, "retries");
+  rr.giveups = reg.total(telemetry::Component::kRuntime, "giveups");
+  rr.cell.metrics = bench::metrics_json(reg);
+  rr.cell.metrics["chaos/inject"] = bench::Json::string(spec);
+}
+
 /// Verify surviving state against the commit record through `peek`:
 /// committed stores present with the right data, giveup-only versions gone.
 template <typename Peek>
 void verify_state(RoundResult& rr, const std::vector<std::vector<Store3>>& per,
-                  const std::vector<bool>& committed, Peek&& peek) {
+                  const Committed& committed, Peek&& peek) {
   for (std::size_t t = 0; t < per.size(); ++t) {
     for (const Store3& m : per[t]) {
       const std::optional<std::uint64_t> got = peek(m.slot, m.v);
@@ -257,8 +272,9 @@ RoundResult run_serial_round(const ChaosOptions& opt, std::uint64_t round_seed,
 
   const std::size_t nt = static_cast<std::size_t>(opt.tasks);
   std::vector<std::vector<Store3>> per(nt + 1);
-  std::vector<bool> committed(nt + 1, false);
-  std::uint64_t retries = 0, giveups = 0;
+  Committed committed(nt + 1, false);
+  // The serial round is a one-worker runtime: slot 0 of the counters.
+  RetryCounters rc(vs.metrics());
   const auto t0 = std::chrono::steady_clock::now();
   for (TaskId t = 1; t <= static_cast<TaskId>(opt.tasks); ++t) {
     vs.task_created(t);
@@ -276,10 +292,10 @@ RoundResult run_serial_round(const ChaosOptions& opt, std::uint64_t round_seed,
           // Give up clean: the rollback above already undid the attempt;
           // retiring the task keeps the checker's task pairing balanced.
           vs.task_end(t);
-          ++giveups;
+          rc.giveups.inc(0);
           break;
         }
-        ++retries;
+        rc.retries.inc(0);
       }
     }
   }
@@ -293,27 +309,13 @@ RoundResult run_serial_round(const ChaosOptions& opt, std::uint64_t round_seed,
   bench::fill_check(checker->checker(), rr.cell);
   if (rr.cell.check_errors != 0) note(rr, "protocol checker found errors");
 
-  rr.giveups = giveups;
+  record_counters(rr, vs.metrics(), spec);
   rr.cell.backend = "functional";
   rr.cell.exec = "inline";
   rr.cell.ops = static_cast<std::uint64_t>(opt.tasks) *
                 static_cast<std::uint64_t>(opt.ops);
   rr.cell.work_seconds = work;
-  rr.cell.checksum = giveups == 0 ? committed_checksum(per, committed) : 0;
-  // Facade-level accounting: the same keys, from the same EngineStats
-  // fields, as the concurrent round below — osim-report's degradation
-  // table reads one schema for both engines.
-  const EngineStats es = vs.engine_stats();
-  rr.cell.metrics = bench::Json::object();
-  rr.cell.metrics["chaos/aborts"] = bench::Json::number(es.tasks_aborted);
-  rr.cell.metrics["chaos/aborted_blocks"] =
-      bench::Json::number(es.aborted_blocks);
-  rr.cell.metrics["chaos/aborted_locks"] =
-      bench::Json::number(es.aborted_locks);
-  rr.cell.metrics["chaos/retries"] = bench::Json::number(retries);
-  rr.cell.metrics["chaos/giveups"] = bench::Json::number(giveups);
-  rr.cell.metrics["chaos/backoff_us"] = bench::Json::number(std::uint64_t{0});
-  rr.cell.metrics["chaos/inject"] = bench::Json::string(spec);
+  rr.cell.checksum = rr.giveups == 0 ? committed_checksum(per, committed) : 0;
   return rr;
 }
 
@@ -343,7 +345,7 @@ RoundResult run_concurrent_round(const ChaosOptions& opt,
 
   const std::size_t nt = static_cast<std::size_t>(opt.tasks);
   std::vector<std::vector<Store3>> per(nt + 1);
-  std::vector<bool> committed(nt + 1, false);
+  Committed committed(nt + 1, false);
 
   ConcurrentTaskPool pool(store, opt.workers);
   ConcurrentTaskPool::RetryPolicy retry;
@@ -378,9 +380,7 @@ RoundResult run_concurrent_round(const ChaosOptions& opt,
   bench::fill_check(checker->checker(), rr.cell);
   if (rr.cell.check_errors != 0) note(rr, "protocol checker found errors");
 
-  const EngineStats es = store.engine_stats();
-  const RecoveryStats rs = pool.recovery_stats();
-  rr.giveups = rs.giveups;
+  record_counters(rr, store.metrics(), spec);
   rr.cell.backend = "functional";
   rr.cell.exec = "concurrent";
   rr.cell.conc_threads = opt.workers;
@@ -388,19 +388,9 @@ RoundResult run_concurrent_round(const ChaosOptions& opt,
                 static_cast<std::uint64_t>(opt.ops);
   rr.cell.work_seconds = work;
   rr.cell.checksum =
-      rs.giveups == 0 && !run_failed ? committed_checksum(per, committed) : 0;
-  rr.cell.metrics = bench::Json::object();
-  rr.cell.metrics["chaos/aborts"] = bench::Json::number(es.tasks_aborted);
-  rr.cell.metrics["chaos/aborted_blocks"] =
-      bench::Json::number(es.aborted_blocks);
-  rr.cell.metrics["chaos/aborted_locks"] =
-      bench::Json::number(es.aborted_locks);
-  rr.cell.metrics["chaos/retries"] = bench::Json::number(rs.retries);
-  rr.cell.metrics["chaos/giveups"] = bench::Json::number(rs.giveups);
-  rr.cell.metrics["chaos/backoff_us"] = bench::Json::number(rs.backoff_us);
+      rr.giveups == 0 && !run_failed ? committed_checksum(per, committed) : 0;
   rr.cell.metrics["chaos/run_failed"] =
       bench::Json::number(std::uint64_t{run_failed ? 1u : 0u});
-  rr.cell.metrics["chaos/inject"] = bench::Json::string(spec);
   if (run_failed) {
     rr.cell.metrics["chaos/run_error"] = bench::Json::string(run_error);
   }
@@ -435,16 +425,10 @@ int run(const ChaosOptions& opt) {
       driver.run_all();
     }
     std::printf("round %d  inject %s\n", r, spec.c_str());
-    auto metric = [](const CellResult& c, const char* key) {
-      const bench::Json* v = c.metrics.find(key);
-      return v != nullptr ? v->as_u64() : 0;
-    };
     if (opt.serial) {
       std::printf("  serial      aborts=%llu retries=%llu giveups=%llu  %s\n",
-                  static_cast<unsigned long long>(
-                      metric(serial.cell, "chaos/aborts")),
-                  static_cast<unsigned long long>(
-                      metric(serial.cell, "chaos/retries")),
+                  static_cast<unsigned long long>(serial.aborts),
+                  static_cast<unsigned long long>(serial.retries),
                   static_cast<unsigned long long>(serial.giveups),
                   serial.clean ? "clean" : serial.first_problem.c_str());
       driver.check("r" + std::to_string(r) + " serial converged clean",
@@ -452,10 +436,8 @@ int run(const ChaosOptions& opt) {
     }
     if (opt.concurrent) {
       std::printf("  concurrent  aborts=%llu retries=%llu giveups=%llu  %s\n",
-                  static_cast<unsigned long long>(
-                      metric(conc.cell, "chaos/aborts")),
-                  static_cast<unsigned long long>(
-                      metric(conc.cell, "chaos/retries")),
+                  static_cast<unsigned long long>(conc.aborts),
+                  static_cast<unsigned long long>(conc.retries),
                   static_cast<unsigned long long>(conc.giveups),
                   conc.clean ? "clean" : conc.first_problem.c_str());
       driver.check("r" + std::to_string(r) + " concurrent converged clean",

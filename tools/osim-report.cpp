@@ -599,8 +599,10 @@ void report_chaos(const BenchRecord& b) {
   // fault-injection degradation counters — rollbacks performed, what the
   // rollbacks undid (blocks unlinked, locks released), task re-runs, tasks
   // past the retry cap — and the checker verdict over the whole (aborts
-  // included) event stream. Both engines report through the facade's
-  // EngineStats, so every column reads the same keys for either row.
+  // included) event stream. Each cell carries its engine's registry, where
+  // both engines count aborts (osm/*) and both runtimes count retries
+  // (runtime/*) under the same names, so every column reads the same keys
+  // for either row.
   md_header({"round/engine", "ops", "aborts", "undone blocks",
              "undone locks", "retries", "giveups", "backoff us", "checker"});
   for (const Cell& c : b.cells) {
@@ -611,12 +613,12 @@ void report_chaos(const BenchRecord& b) {
       verdict = n == 0 ? "clean" : std::to_string(n) + " error(s)";
     }
     md_row({c.name, std::to_string(c.ops),
-            std::to_string(metric_u64(c, "chaos/aborts")),
-            std::to_string(metric_u64(c, "chaos/aborted_blocks")),
-            std::to_string(metric_u64(c, "chaos/aborted_locks")),
-            std::to_string(metric_u64(c, "chaos/retries")),
-            std::to_string(metric_u64(c, "chaos/giveups")),
-            std::to_string(metric_u64(c, "chaos/backoff_us")), verdict});
+            std::to_string(metric_u64(c, "osm/tasks_aborted")),
+            std::to_string(metric_u64(c, "osm/aborted_blocks")),
+            std::to_string(metric_u64(c, "osm/aborted_locks")),
+            std::to_string(metric_u64(c, "runtime/retries")),
+            std::to_string(metric_u64(c, "runtime/giveups")),
+            std::to_string(metric_u64(c, "runtime/backoff_us")), verdict});
   }
 }
 

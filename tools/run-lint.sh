@@ -87,6 +87,23 @@ if [ -n "$fault_bad" ]; then
 fi
 echo "run-lint: faults OK (shared ISA faults come from src/core/fault.hpp)"
 
+# Counter lint (toolchain-free, always enforced): both engines and the task
+# pool count in the engine's telemetry::MetricRegistry, and benches and
+# tools write it out with bench::metrics_json. A parallel stats struct, or
+# engine counters copied by hand into JSON keys of a tool's own, forks the
+# counter vocabulary again.
+counter_key='"(concurrent|chaos)/(aborts|aborted_|retries|giveups|backoff_us)'
+counter_bad=$({
+  grep -rnwE '(Engine|Recovery)Stats' src bench tools
+  grep -rnE "$counter_key" bench tools
+} || true)
+if [ -n "$counter_bad" ]; then
+  echo "run-lint: COUNTERS — count in the engine's MetricRegistry instead:"
+  echo "$counter_bad"
+  exit 1
+fi
+echo "run-lint: counters OK (one MetricRegistry vocabulary, no hand-built keys)"
+
 if ! command -v clang-tidy > /dev/null 2>&1; then
   echo "run-lint: clang-tidy not installed; skipping (install LLVM to lint)"
   exit 0
