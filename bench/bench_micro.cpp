@@ -1,12 +1,13 @@
 // Host-side micro-benchmarks (google-benchmark) of the simulator substrate
 // and O-structure primitives: fiber switches, cache probes, hierarchy
-// accesses, version-list operations, compressed-line codec, and complete
-// versioned operations. These measure *simulator* throughput (host ns/op),
-// which bounds how much simulated work the figure benches can afford. The
-// ConcurrentVersionStore benches measure the host engine's own layers: the
-// task lifecycle a pool worker runs per task, and one uncontended
-// LOAD-LATEST.
+// accesses, version-list operations, version-block carving, compressed-line
+// codec, complete versioned operations and Env construction. These measure
+// *simulator* throughput (host ns/op), which bounds how much simulated work
+// the figure benches can afford. The ConcurrentVersionStore benches measure
+// the host engine's own layers: the task lifecycle a pool worker runs per
+// task, and one uncontended LOAD-LATEST.
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <condition_variable>
 #include <cstdint>
@@ -16,12 +17,19 @@
 #include "core/concurrent_store.hpp"
 #include "core/ostructure_manager.hpp"
 #include "core/version_list.hpp"
+#include "runtime/env.hpp"
 #include "sim/cache.hpp"
 #include "sim/fiber.hpp"
 #include "sim/memory_system.hpp"
 
 namespace osim {
 namespace {
+
+std::uint64_t minor_faults() {
+  rusage ru{};
+  getrusage(RUSAGE_THREAD, &ru);
+  return static_cast<std::uint64_t>(ru.ru_minflt);
+}
 
 void BM_FiberSwitch(benchmark::State& state) {
   bool stop = false;
@@ -91,6 +99,37 @@ void BM_VersionListFindLatest(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(find_latest(pool, root, cap, true));
     cap = cap % len + 1;
+  }
+}
+
+// Carving: a fresh pool of range(0) blocks handed out by alloc() until it
+// is empty, then unmapped. Every block is constructed on its first alloc(),
+// so this includes the first touch of each page of the pool;
+// minflt_per_block reports those page faults.
+void BM_BlockPoolCarve(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::uint64_t faults0 = minor_faults();
+  for (auto _ : state) {
+    BlockPool pool(n);
+    for (std::size_t i = 0; i < n; ++i) benchmark::DoNotOptimize(pool.alloc());
+  }
+  const auto blocks = static_cast<double>(state.iterations()) *
+                      static_cast<double>(n);
+  state.counters["minflt_per_block"] =
+      static_cast<double>(minor_faults() - faults0) / blocks;
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+
+// Env construction: the setup every figure-bench cell pays before it
+// simulates anything. The default 2^20-block version pool is reserved, not
+// carved, so this is the machine, caches and registry.
+void BM_EnvConstruct(benchmark::State& state, BackendKind backend) {
+  MachineConfig cfg;
+  cfg.backend = backend;
+  cfg.num_cores = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    Env env(cfg);
+    benchmark::DoNotOptimize(&env);
   }
 }
 
@@ -219,6 +258,15 @@ BENCHMARK(BM_CacheMissFill);
 BENCHMARK(BM_MemorySystemAccess);
 BENCHMARK(BM_VersionListInsert)->Arg(8)->Arg(64)->Arg(512);
 BENCHMARK(BM_VersionListFindLatest)->Arg(8)->Arg(64)->Arg(512);
+// 2^10 blocks come from the heap, already committed; 2^20 (the default
+// pool, 48 MiB) is a fresh mapping whose every page faults on first use.
+BENCHMARK(BM_BlockPoolCarve)->Arg(1 << 10)->Arg(1 << 20);
+BENCHMARK_CAPTURE(BM_EnvConstruct, timed, BackendKind::kTimed)
+    ->Arg(1)
+    ->Arg(32);
+BENCHMARK_CAPTURE(BM_EnvConstruct, functional, BackendKind::kFunctional)
+    ->Arg(1)
+    ->Arg(32);
 BENCHMARK(BM_CompressedInstallFind);
 BENCHMARK(BM_VersionedStoreLoad);
 BENCHMARK(BM_VersionedDirectHit);

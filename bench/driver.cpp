@@ -1,5 +1,7 @@
 #include "driver.hpp"
 
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -17,6 +19,11 @@ namespace {
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+double seconds(const timeval& tv) {
+  return static_cast<double>(tv.tv_sec) +
+         1e-6 * static_cast<double>(tv.tv_usec);
 }
 
 }  // namespace
@@ -115,9 +122,21 @@ void Driver::run_all() {
       detail::g_cell_backend = backend;
       detail::g_cell_gc = gc;
       detail::g_cell_inject = inject;
+      rusage ru0{};
+      getrusage(RUSAGE_THREAD, &ru0);
       const auto t0 = std::chrono::steady_clock::now();
-      cell.result = cell.fn();
+      try {
+        cell.result = cell.fn();
+      } catch (const std::exception& e) {
+        cell.result = CellResult{};
+        cell.result.error = e.what();
+      }
       cell.result.wall_seconds = seconds_since(t0);
+      rusage ru1{};
+      getrusage(RUSAGE_THREAD, &ru1);
+      cell.result.host_minflt =
+          static_cast<std::uint64_t>(ru1.ru_minflt - ru0.ru_minflt);
+      cell.result.host_sys_s = seconds(ru1.ru_stime) - seconds(ru0.ru_stime);
       cell.done = true;
       detail::g_cell_trace_path.clear();
       detail::g_cell_check_mode = 0;
@@ -131,6 +150,13 @@ void Driver::run_all() {
   HostPool pool(opt_.threads);
   pool.run(std::move(jobs));
   total_wall_ += seconds_since(t0);
+  for (std::size_t i : fresh) {
+    const Cell& cell = cells_[i];
+    if (!cell.result.error.empty()) {
+      std::fprintf(stderr, "%s: [%s] cell failed: %s\n", name_.c_str(),
+                   cell.name.c_str(), cell.result.error.c_str());
+    }
+  }
   // Checked cells must come back clean; record one named invariant per
   // cell so finish() fails (and prints) on any protocol violation.
   if (opt_.check_mode != 0) {
@@ -178,12 +204,17 @@ int Driver::finish() {
                    c.what.c_str());
     }
   }
-  const bool all_ok = passed == checks_.size();
+  std::size_t failed = 0;
+  for (const Cell& c : cells_) failed += c.result.error.empty() ? 0 : 1;
+  const bool all_ok = passed == checks_.size() && failed == 0;
   std::printf(
       "\n[%s] %zu cells, %.2fs wall on %d host thread(s); checks: %zu/%zu "
       "passed\n",
       name_.c_str(), cells_.size(), total_wall_,
       HostPool(opt_.threads).thread_count(), passed, checks_.size());
+  if (failed != 0) {
+    std::fprintf(stderr, "%s: %zu cell(s) failed\n", name_.c_str(), failed);
+  }
 
   if (!opt_.json_path.empty()) {
     // Versioned result schema (v2): {"schema": 2, "benches": {name: {...}}}.
@@ -236,6 +267,11 @@ int Driver::finish() {
       jc["cycles"] = Json::number(static_cast<std::uint64_t>(c.result.cycles));
       jc["checksum"] = Json::number(c.result.checksum);
       jc["wall_seconds"] = Json::number(c.result.wall_seconds);
+      Json host = Json::object();
+      host["minflt"] = Json::number(c.result.host_minflt);
+      host["sys_s"] = Json::number(c.result.host_sys_s);
+      jc["host"] = std::move(host);
+      if (!c.result.error.empty()) jc["error"] = Json::string(c.result.error);
       if (!c.result.exec.empty()) {
         jc["exec"] = Json::string(c.result.exec);
         jc["ops"] = Json::number(c.result.ops);

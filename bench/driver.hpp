@@ -12,6 +12,9 @@
 //   4. finish(): verify recorded invariants (checksum matches), print the
 //      wall-clock summary, and write/merge the machine-readable JSON.
 //
+// A cell that throws is recorded as failed with its message; the other
+// cells still run, the JSON is still written, and finish() exits non-zero.
+//
 // The JSON file maps bench name -> { scale, threads, wall_seconds, cells,
 // checks }; running several benches with the same --json path accumulates
 // all of them into one BENCH_results.json.
@@ -62,6 +65,14 @@ struct CellResult {
   bool checked = false;
   std::uint64_t check_errors = 0;
   Json check;
+  /// Set (driver-filled) when the cell threw: the exception's message. The
+  /// other fields then keep their defaults, and finish() fails the run.
+  std::string error;
+  /// Minor page faults and system CPU seconds of the host thread that ran
+  /// the cell (getrusage(RUSAGE_THREAD) around it; driver-filled). Worker
+  /// threads a cell starts itself are not included.
+  std::uint64_t host_minflt = 0;
+  double host_sys_s = 0.0;
 };
 
 /// One experiment cell: runs on some host thread, owns its whole simulation.
@@ -120,7 +131,8 @@ class Driver {
   double total_wall_seconds() const { return total_wall_; }
 
   /// Print the wall-clock summary, write the JSON file if requested, and
-  /// return the process exit code (0 iff every check passed).
+  /// return the process exit code (0 iff every cell ran and every check
+  /// passed).
   int finish();
 
  private:

@@ -420,12 +420,11 @@ std::uint32_t ConcurrentVersionStore::alloc_block(ThreadCtx& c, Shard& sh) {
   const std::uint32_t nc = sh.nchunks.load(std::memory_order_relaxed);
   if (sh.next_fresh == nc * kBlockChunkSize) {
     if (nc == kMaxBlockChunks) {
-      throw OFault(FaultKind::kResourceExhausted,
-                   "shard " + std::to_string(shard_index(sh)) +
-                       " block pool exhausted: " +
-                       std::to_string(kMaxBlockChunks * kBlockChunkSize) +
-                       " blocks live, none reclaimable (task " +
-                       std::to_string(c.cur_task) + ")");
+      fault_block_pool_exhausted(
+          "shard " + std::to_string(shard_index(sh)),
+          std::size_t{kMaxBlockChunks} * kBlockChunkSize,
+          "every block live, none reclaimable (task " +
+              std::to_string(c.cur_task) + ")");
     }
     sh.chunk[nc].store(new CBlock[kBlockChunkSize],
                        std::memory_order_release);

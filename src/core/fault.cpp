@@ -58,4 +58,11 @@ void fault_duplicate_version(Ver v) {
                "version " + std::to_string(v));
 }
 
+void fault_block_pool_exhausted(const std::string& pool, std::size_t capacity,
+                                const std::string& detail) {
+  throw OFault(FaultKind::kResourceExhausted,
+               pool + " block pool exhausted at its " +
+                   std::to_string(capacity) + "-block capacity: " + detail);
+}
+
 }  // namespace osim

@@ -101,5 +101,11 @@ inline const char* to_string(FaultKind k) {
 [[noreturn]] void fault_unlock_foreign(Ver v, TaskId holder, TaskId owner);
 [[noreturn]] void fault_rename_exists(Ver v);
 [[noreturn]] void fault_duplicate_version(Ver v);
+/// A version-block pool is at its capacity with nothing reclaimable: the
+/// serial pool's 30-bit pointer cap or a concurrent shard's chunk table.
+/// `pool` names the pool, `detail` the request that did not fit.
+[[noreturn]] void fault_block_pool_exhausted(const std::string& pool,
+                                             std::size_t capacity,
+                                             const std::string& detail);
 
 }  // namespace osim

@@ -1,6 +1,8 @@
 #include "core/version_list.hpp"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "core/fault.hpp"
 
@@ -27,7 +29,11 @@ InsertResult list_insert(BlockPool& pool, BlockIndex* root, BlockIndex fresh,
   InsertResult r;
   r.block = fresh;
   VersionBlock& nb = pool[fresh];
-  assert(nb.state == BlockState::kLive);
+  if (nb.state != BlockState::kLive) {
+    throw std::logic_error("version block " + std::to_string(fresh) +
+                           " inserted into a list while not live (state " +
+                           std::to_string(static_cast<int>(nb.state)) + ")");
+  }
 
   if (!sorted) {
     // Ablation mode: always push at head. Shadowing is tracked for the

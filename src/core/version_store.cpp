@@ -182,7 +182,12 @@ BlockIndex VersionStore::alloc_block() {
       emit_event(telemetry::EventType::kOsTrap, 0, 0, cfg_.trap_grow_blocks);
       if (charges()) t_.os_trapped();
       b = pool_.alloc();
-      assert(b != kNullBlock);
+      if (b == kNullBlock) {
+        fault_block_pool_exhausted(
+            "serial", pool_.size(),
+            "the OS trap grew it by " +
+                std::to_string(cfg_.trap_grow_blocks) + " blocks");
+      }
     }
   }
   blocks_allocated_.inc();

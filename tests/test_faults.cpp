@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "core/fault.hpp"
 #include "core/ostructure_manager.hpp"
@@ -109,6 +110,24 @@ TEST(Faults, ZeroSlotAllocRejected) {
   OStructureManager osm(m);
   VersionStore& o = osm.store();
   EXPECT_THROW(o.alloc(0), OFault);
+}
+
+TEST(Faults, OsTrapThatAddsNoBlocksFaultsResourceExhausted) {
+  // A trap handler that grows the pool by nothing leaves the store with no
+  // block to hand out; that is a structured fault, not an assert.
+  MachineConfig c = cfg(1);
+  c.ostruct.initial_pool_blocks = 4;
+  c.ostruct.trap_grow_blocks = 0;
+  Machine m(c);
+  OStructureManager osm(m);
+  VersionStore& o = osm.store();
+  // One version per slot: every block stays live, so GC frees none.
+  std::vector<OAddr> slots;
+  for (int i = 0; i < 8; ++i) slots.push_back(o.alloc());
+  m.spawn(0, [&] {
+    for (OAddr a : slots) o.store_version(a, 1, a);
+  });
+  expect_fault(m, "block pool exhausted");
 }
 
 TEST(EdgeCases, HugeVersionNumbersWork) {

@@ -1,6 +1,7 @@
 // Tests for the runtime layer: Env timed accesses, versioned<T>, the task
 // runtime, and the simulated read-write lock.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <atomic>
 #include <vector>
@@ -42,6 +43,34 @@ TEST(Env, ConventionalAccessToVersionedSlotFaults) {
     env.store().check_conventional(a);
   });
   EXPECT_THROW(env.run(), SimError);
+}
+
+long env_ctor_minor_faults(const MachineConfig& cfg) {
+  rusage before{};
+  getrusage(RUSAGE_THREAD, &before);
+  Env env(cfg);
+  rusage after{};
+  getrusage(RUSAGE_THREAD, &after);
+  return after.ru_minflt - before.ru_minflt;
+}
+
+TEST(Env, DefaultConstructionCommitsFewPages) {
+  // The default 2^20-block version pool is carved on first use: building
+  // the Env reserves it but touches none of it (an eagerly threaded free
+  // list took about 14k minor faults here). Measured against an Env whose
+  // pool is tiny, so the rest of construction (and any sanitizer runtime's
+  // own bookkeeping) cancels out.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "the sanitizer writes shadow memory for every allocation "
+                  "(1/8 of its size under ASan), so reserving the pool "
+                  "itself commits pages";
+#endif
+  MachineConfig tiny;
+  tiny.ostruct.initial_pool_blocks = 64;
+  env_ctor_minor_faults(tiny);  // warm the allocator
+  const long small = env_ctor_minor_faults(tiny);
+  const long dflt = env_ctor_minor_faults(MachineConfig{});
+  EXPECT_LT(dflt - small, 1000) << "default " << dflt << ", tiny " << small;
 }
 
 TEST(Versioned, IntRoundTrip) {

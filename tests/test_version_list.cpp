@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <random>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/fault.hpp"
@@ -51,6 +53,13 @@ TEST_F(VersionListTest, PoolExhaustionReturnsNull) {
   EXPECT_EQ(pool.alloc(), kNullBlock);
   pool.grow(8);
   EXPECT_NE(pool.alloc(), kNullBlock);
+}
+
+TEST_F(VersionListTest, InsertOfNonLiveBlockThrows) {
+  const BlockIndex b = make(3);
+  pool.free(b);
+  EXPECT_THROW(list_insert(pool, &root, b, /*sorted=*/true), std::logic_error);
+  EXPECT_EQ(root, kNullBlock);
 }
 
 TEST_F(VersionListTest, InsertIntoEmptyListBecomesHead) {
@@ -244,6 +253,145 @@ TEST_P(VersionListProperty, RandomOrderMatchesReferenceModel) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VersionListProperty,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 17u, 99u));
+
+// The pool as it was before blocks were carved on first use: every block
+// constructed and threaded onto the free list when grow() adds it. The
+// lazy pool must hand out exactly this order (block addresses feed the
+// cache model).
+class EagerPool {
+ public:
+  explicit EagerPool(std::size_t n) { grow(n); }
+
+  BlockIndex alloc() {
+    if (free_head_ == kNullBlock) return kNullBlock;
+    const BlockIndex b = free_head_;
+    VersionBlock& vb = blocks_[b];
+    free_head_ = vb.next;
+    --free_count_;
+    vb.next = kNullBlock;
+    vb.head = false;
+    vb.locked_by = kNoTask;
+    vb.state = BlockState::kLive;
+    return b;
+  }
+
+  void free(BlockIndex b) {
+    VersionBlock& vb = blocks_[b];
+    vb.state = BlockState::kFree;
+    vb.generation++;
+    vb.next = free_head_;
+    free_head_ = b;
+    ++free_count_;
+  }
+
+  void grow(std::size_t n) {
+    const std::size_t old = blocks_.size();
+    blocks_.resize(old + n);
+    for (std::size_t i = old; i < old + n; ++i) {
+      blocks_[i].next = free_head_;
+      free_head_ = static_cast<BlockIndex>(i);
+    }
+    free_count_ += n;
+  }
+
+  VersionBlock& operator[](BlockIndex b) { return blocks_[b]; }
+  std::size_t free_count() const { return free_count_; }
+  std::size_t size() const { return blocks_.size(); }
+
+ private:
+  std::vector<VersionBlock> blocks_;
+  BlockIndex free_head_ = kNullBlock;
+  std::size_t free_count_ = 0;
+};
+
+void expect_same_block(const VersionBlock& a, const VersionBlock& b) {
+  EXPECT_EQ(a.version, b.version);
+  EXPECT_EQ(a.locked_by, b.locked_by);
+  EXPECT_EQ(a.data, b.data);
+  EXPECT_EQ(a.slot, b.slot);
+  EXPECT_EQ(a.next, b.next);
+  EXPECT_EQ(a.generation, b.generation);
+  EXPECT_EQ(a.head, b.head);
+  EXPECT_EQ(a.state, b.state);
+}
+
+class BlockPoolCarve : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(BlockPoolCarve, MatchesEagerThreadedListOrder) {
+  std::mt19937_64 rng(GetParam());
+  const std::size_t initial = rng() % 48;
+  BlockPool lazy(initial);
+  EagerPool eager(initial);
+  std::vector<BlockIndex> live;
+  int grows_while_free = 0, grows_on_empty = 0;
+  for (int step = 0; step < 3000; ++step) {
+    // Alternate allocation-heavy and free-heavy phases, so the pool both
+    // runs dry (the OS-trap grow) and refills (grows with blocks free).
+    const std::uint64_t alloc_pct = (step / 200) % 2 == 0 ? 85 : 25;
+    const std::uint64_t op = rng() % 100;
+    if (op < alloc_pct) {
+      const BlockIndex b = lazy.alloc();
+      ASSERT_EQ(b, eager.alloc()) << "step " << step;
+      if (b == kNullBlock) {
+        // The OS trap: the pool is empty.
+        const std::size_t n = 1 + rng() % 24;
+        lazy.grow(n);
+        eager.grow(n);
+        ++grows_on_empty;
+      } else {
+        expect_same_block(lazy[b], eager[b]);
+        // Give both copies the same payload, so a reused block's stale
+        // fields are compared too.
+        const Ver v = rng();
+        const std::uint64_t d = rng();
+        lazy[b].version = eager[b].version = v;
+        lazy[b].data = eager[b].data = d;
+        lazy[b].slot = eager[b].slot = d >> 7;
+        live.push_back(b);
+      }
+    } else if (op < 96) {
+      if (live.empty()) continue;
+      const std::size_t i = rng() % live.size();
+      lazy.free(live[i]);
+      eager.free(live[i]);
+      live[i] = live.back();
+      live.pop_back();
+    } else {
+      const std::size_t n = rng() % 6;
+      if (lazy.free_count() != 0) ++grows_while_free;
+      lazy.grow(n);
+      eager.grow(n);
+    }
+    ASSERT_EQ(lazy.free_count(), eager.free_count()) << "step " << step;
+    ASSERT_EQ(lazy.size(), eager.size()) << "step " << step;
+  }
+  EXPECT_GT(grows_while_free, 0);
+  EXPECT_GT(grows_on_empty, 0);
+  // Drain both: the remaining order must match to the last block.
+  for (BlockIndex b = lazy.alloc();; b = lazy.alloc()) {
+    ASSERT_EQ(b, eager.alloc());
+    if (b == kNullBlock) break;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BlockPoolCarve,
+                         ::testing::Range<std::uint64_t>(1, 17));
+
+TEST(BlockPoolCarveFault, GrowPastPointerWidthFaultsWithoutAllocating) {
+  BlockPool p(0);
+  try {
+    p.grow(kNullBlock);
+    FAIL() << "grow past the 30-bit pointer width must fault";
+  } catch (const OFault& f) {
+    EXPECT_EQ(f.kind(), FaultKind::kResourceExhausted);
+    EXPECT_NE(std::string(f.what()).find("block pool exhausted"),
+              std::string::npos)
+        << f.what();
+  }
+  EXPECT_EQ(p.size(), 0u);
+  EXPECT_EQ(p.free_count(), 0u);
+  EXPECT_EQ(p.alloc(), kNullBlock);
+}
 
 }  // namespace
 }  // namespace osim

@@ -152,6 +152,11 @@ bool load_results(const std::string& path, ResultFile& out) {
       }
       c.metrics = jc.find("metrics");
       c.check = jc.find("check");
+      // The driver records a cell that threw instead of dying with it.
+      if (const Json* e = jc.find("error")) {
+        fail(path + ": bench '" + name + "' cell '" + c.name +
+             "' failed: " + e->as_string());
+      }
       b.cells.push_back(std::move(c));
     }
     // A figure table mixes cycle counts from different backends only by
