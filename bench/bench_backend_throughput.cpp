@@ -48,6 +48,7 @@ using bench::CellResult;
 using bench::Driver;
 using bench::fmt;
 using bench::make_config;
+using bench::splitmix64;
 using bench::with_cell_trace;
 
 using WorkloadFn = RunResult (*)(Env&, const DsSpec&, int);
@@ -97,12 +98,19 @@ struct ConcMix {
   int base_ops;
 };
 
-std::uint64_t splitmix64(std::uint64_t& s) {
-  std::uint64_t z = (s += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
+/// A batched op's fault raised again as an OFault of the same kind, so the
+/// pool retries it as it would the per-op fault. The record already holds
+/// the engine's full report, which what() returns unchanged (the OFault
+/// constructor would prefix it a second time).
+class BatchFault : public OFault {
+ public:
+  explicit BatchFault(const VersionEngine::Results::Fault& f)
+      : OFault(f.kind, ""), report_(f.message) {}
+  const char* what() const noexcept override { return report_.c_str(); }
+
+ private:
+  std::string report_;
+};
 
 /// Deterministic slot data: loads validate against this in the hot loop, so
 /// a torn read (wrong data for the version observed) fails the cell.
@@ -263,8 +271,7 @@ CellResult run_concurrent_cell(const std::vector<ScriptOp>& script,
               // Surface the first fault to the pool's retry machinery; the
               // rollback + re-execution replays the whole batch, so the
               // final state stays script-determined.
-              throw OFault(res.faults.front().kind,
-                           res.faults.front().message);
+              throw BatchFault(res.faults.front());
             }
             if (res.reads.size() != wb.expect.size()) {
               throw std::runtime_error("batched execute lost reads");

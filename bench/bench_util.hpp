@@ -3,6 +3,7 @@
 // and aligned table printing.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -292,6 +293,15 @@ inline MachineConfig with_cell_trace(MachineConfig c) {
   c.ostruct.gc_policy = detail::g_cell_gc;
   c.ostruct.inject_spec = detail::g_cell_inject;
   return c;
+}
+
+/// splitmix64: advance `s` and return the next well-mixed 64-bit value.
+/// The benches and tools derive their op scripts and seeds from it.
+inline std::uint64_t splitmix64(std::uint64_t& s) {
+  std::uint64_t z = (s += 0x9E3779B97F4A7C15ull);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
 }
 
 /// Print a row of "| cell | cell |" with the given widths.

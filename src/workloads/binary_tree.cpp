@@ -1,12 +1,10 @@
 #include "workloads/binary_tree.hpp"
 
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "runtime/pipeline.hpp"
 #include "runtime/rwlock.hpp"
-#include "workloads/opstream.hpp"
 #include "workloads/runner.hpp"
 
 namespace osim {
@@ -54,6 +52,10 @@ class UTree {
     return sum;
   }
 
+  bool insert(std::uint64_t key) { return set_alive(key, true); }
+  bool erase(std::uint64_t key) { return set_alive(key, false); }
+
+ private:
   bool set_alive(std::uint64_t key, bool alive) {
     env_.exec(kOpSetupInstr);
     UNode* cur = env_.ld(root_);
@@ -83,7 +85,6 @@ class UTree {
     return true;
   }
 
- private:
   void scan_rec(UNode* n, std::uint64_t key, int& remaining,
                 std::uint64_t& sum) {
     if (n == nullptr || remaining == 0) return;
@@ -175,6 +176,14 @@ class VTree {
     return sum;
   }
 
+  std::uint64_t insert(TaskId tid, Ver prev, std::uint64_t key) {
+    return set_alive(tid, prev, key, true);
+  }
+  std::uint64_t erase(TaskId tid, Ver prev, std::uint64_t key) {
+    return set_alive(tid, prev, key, false);
+  }
+
+ private:
   /// Insert (alive=1) or logical-delete (alive=0) under the mutator
   /// protocol: the path is locked hand-over-hand, the final edge or alive
   /// flag is renamed to version tid.
@@ -238,7 +247,6 @@ class VTree {
     }
   }
 
- private:
   void scan_rec(VNode* n, TaskId tid, std::uint64_t key, int& remaining,
                 std::uint64_t& sum) {
     if (n == nullptr || remaining == 0) return;
@@ -289,114 +297,25 @@ class VTree {
 }  // namespace
 
 RunResult binary_tree_sequential(Env& env, const DsSpec& spec) {
-  UTree* tree = env.make<UTree>(env);
-  const auto ops = generate_ops(spec);
-  return run_sequential(
-      env, [tree, &spec] { tree->populate(initial_keys(spec)); },
-      [&env, tree, &spec, ops] {
-        std::uint64_t sum = 0;
-        for (const Op& op : ops) {
-          switch (op.kind) {
-            case OpKind::kLookup:
-              mix(sum, tree->lookup(op.key) ? 1 : 0);
-              break;
-            case OpKind::kScan:
-              mix(sum, tree->scan(op.key, spec.scan_range));
-              break;
-            case OpKind::kInsert:
-              mix(sum, tree->set_alive(op.key, true) ? 1 : 0);
-              break;
-            case OpKind::kDelete:
-              mix(sum, tree->set_alive(op.key, false) ? 1 : 0);
-              break;
-          }
-        }
-        return sum;
-      });
+  return run_ops_sequential(env, spec, *env.make<UTree>(env));
 }
 
 RunResult binary_tree_versioned(Env& env, const DsSpec& spec, int cores) {
-  static_check_workload(env, spec);
-  VTree* tree = env.make<VTree>(env);
-  const auto ops = generate_ops(spec);
-  auto results = std::make_shared<std::vector<std::uint64_t>>(ops.size());
-  return run_tasked(
-      env, cores, [tree, &spec] { tree->populate(initial_keys(spec)); },
-      [&](TaskRuntime& rt) {
-        const auto prevs = prev_mutator_versions(ops);
-        for (std::size_t i = 0; i < ops.size(); ++i) {
-          const Op op = ops[i];
-          const Ver prev = prevs[i];
-          rt.create_task(
-              kFirstTaskId + i,
-              [tree, op, prev, &spec, results, i](TaskId tid) {
-                switch (op.kind) {
-                  case OpKind::kLookup:
-                    (*results)[i] = tree->lookup(tid, prev, op.key);
-                    break;
-                  case OpKind::kScan:
-                    (*results)[i] =
-                        tree->scan(tid, prev, op.key, spec.scan_range);
-                    break;
-                  case OpKind::kInsert:
-                    (*results)[i] = tree->set_alive(tid, prev, op.key, true);
-                    break;
-                  case OpKind::kDelete:
-                    (*results)[i] = tree->set_alive(tid, prev, op.key, false);
-                    break;
-                }
-              });
-        }
-      },
-      [results] {
-        std::uint64_t sum = 0;
-        for (std::uint64_t r : *results) mix(sum, r);
-        return sum;
-      });
+  return run_ops_versioned(env, spec, cores, *env.make<VTree>(env));
 }
 
 RunResult binary_tree_rwlock(Env& env, const DsSpec& spec, int cores) {
   UTree* tree = env.make<UTree>(env);
   SimRWLock* lock = env.make<SimRWLock>(env);
-  const auto ops = generate_ops(spec);
-  auto results = std::make_shared<std::vector<std::uint64_t>>(ops.size());
-  return run_tasked(
-      env, cores, [tree, &spec] { tree->populate(initial_keys(spec)); },
-      [&](TaskRuntime& rt) {
-        for (std::size_t i = 0; i < ops.size(); ++i) {
-          const Op op = ops[i];
-          rt.create_task(
-              kFirstTaskId + i,
-              [tree, lock, op, &spec, results, i](TaskId) {
-                switch (op.kind) {
-                  case OpKind::kLookup:
-                    lock->lock_shared();
-                    (*results)[i] = tree->lookup(op.key) ? 1 : 0;
-                    lock->unlock_shared();
-                    break;
-                  case OpKind::kScan:
-                    lock->lock_shared();
-                    (*results)[i] = tree->scan(op.key, spec.scan_range);
-                    lock->unlock_shared();
-                    break;
-                  case OpKind::kInsert:
-                    lock->lock();
-                    (*results)[i] = tree->set_alive(op.key, true) ? 1 : 0;
-                    lock->unlock();
-                    break;
-                  case OpKind::kDelete:
-                    lock->lock();
-                    (*results)[i] = tree->set_alive(op.key, false) ? 1 : 0;
-                    lock->unlock();
-                    break;
-                }
-              });
-        }
-      },
-      [results] {
-        std::uint64_t sum = 0;
-        for (std::uint64_t r : *results) mix(sum, r);
-        return sum;
+  return run_task_per_op(
+      env, spec, cores, [tree, &spec] { tree->populate(initial_keys(spec)); },
+      [tree, lock, &spec](TaskId, Ver, const Op& op) {
+        // Writers exclude everyone; readers share the lock.
+        const bool writer = is_mutator(op.kind);
+        writer ? lock->lock() : lock->lock_shared();
+        const std::uint64_t result = apply_op(*tree, op, spec.scan_range);
+        writer ? lock->unlock() : lock->unlock_shared();
+        return result;
       });
 }
 

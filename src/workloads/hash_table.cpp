@@ -1,20 +1,17 @@
 #include "workloads/hash_table.hpp"
 
 #include <algorithm>
-
-#include <memory>
 #include <vector>
 
 #include "runtime/pipeline.hpp"
-#include "workloads/opstream.hpp"
 #include "workloads/runner.hpp"
+#include "workloads/sorted_chain.hpp"
 
 namespace osim {
 
 namespace {
 
 constexpr std::uint64_t kOpSetupInstr = 40;  // includes the hash computation
-constexpr std::uint64_t kStepInstr = 10;
 
 std::size_t bucket_count(const DsSpec& spec) {
   // Load factor ~8 with the stable footprint of the generated op mix.
@@ -30,81 +27,37 @@ std::size_t hash_of(std::uint64_t key, std::size_t buckets) {
 }
 
 // ---------------------------------------------------------------------------
-// Unversioned
-
-struct UNode {
-  std::uint64_t key;
-  UNode* next;
-};
+// Unversioned: one sorted chain per bucket.
 
 class UHash {
  public:
   UHash(Env& env, std::size_t buckets)
-      : env_(env), heads_(env.make_array<UNode*>(buckets)), buckets_(buckets) {}
+      : env_(env),
+        heads_(env.make_array<ChainNode*>(buckets)),
+        buckets_(buckets) {}
 
   void populate(const std::vector<std::uint64_t>& keys) {
     for (std::uint64_t k : keys) {
-      UNode** where = &heads_[hash_of(k, buckets_)];
+      ChainNode** where = &heads_[hash_of(k, buckets_)];
       while (*where != nullptr && (*where)->key < k) where = &(*where)->next;
       if (*where != nullptr && (*where)->key == k) continue;
-      *where = env_.make<UNode>(UNode{k, *where});
+      *where = env_.make<ChainNode>(ChainNode{k, *where});
     }
   }
 
-  bool lookup(std::uint64_t key) {
-    env_.exec(kOpSetupInstr);
-    UNode* cur = env_.ld(heads_[hash_of(key, buckets_)]);
-    while (cur != nullptr && env_.ld(cur->key) < key) {
-      env_.exec(kStepInstr);
-      cur = env_.ld(cur->next);
-    }
-    return cur != nullptr && env_.ld(cur->key) == key;
-  }
-
-  bool insert(std::uint64_t key) {
-    env_.exec(kOpSetupInstr);
-    UNode*& head = heads_[hash_of(key, buckets_)];
-    UNode* cur = env_.ld(head);
-    UNode* prev = nullptr;
-    while (cur != nullptr && env_.ld(cur->key) < key) {
-      env_.exec(kStepInstr);
-      prev = cur;
-      cur = env_.ld(cur->next);
-    }
-    if (cur != nullptr && env_.ld(cur->key) == key) return false;
-    UNode* n = env_.make<UNode>(UNode{key, cur});
-    env_.st(n->next, cur);
-    if (prev == nullptr) {
-      env_.st(head, n);
-    } else {
-      env_.st(prev->next, n);
-    }
-    return true;
-  }
-
-  bool erase(std::uint64_t key) {
-    env_.exec(kOpSetupInstr);
-    UNode*& head = heads_[hash_of(key, buckets_)];
-    UNode* cur = env_.ld(head);
-    UNode* prev = nullptr;
-    while (cur != nullptr && env_.ld(cur->key) < key) {
-      env_.exec(kStepInstr);
-      prev = cur;
-      cur = env_.ld(cur->next);
-    }
-    if (cur == nullptr || env_.ld(cur->key) != key) return false;
-    UNode* after = env_.ld(cur->next);
-    if (prev == nullptr) {
-      env_.st(head, after);
-    } else {
-      env_.st(prev->next, after);
-    }
-    return true;
-  }
+  bool lookup(std::uint64_t key) { return bucket(key).lookup(key); }
+  /// A hash table has no key order to scan: a scan is a lookup.
+  bool scan(std::uint64_t key, int) { return lookup(key); }
+  bool insert(std::uint64_t key) { return bucket(key).insert(key); }
+  bool erase(std::uint64_t key) { return bucket(key).erase(key); }
 
  private:
+  SortedChain bucket(std::uint64_t key) {
+    return {env_, heads_[hash_of(key, buckets_)], kOpSetupInstr};
+  }
+
   Env& env_;
-  UNode** heads_;  // arena array: timed accesses index into it
+  ChainNode** heads_;  // arena array: timed accesses index into it
   std::size_t buckets_;
 };
 
@@ -147,10 +100,14 @@ class VHash {
     (void)tid;
     VNode* cur = heads_[hash_of(key, heads_.size())].load_latest(tid);
     while (cur != nullptr && env_.ld(cur->key) < key) {
-      env_.exec(kStepInstr);
+      env_.exec(kChainStepInstr);
       cur = cur->next.load_latest(tid);
     }
     return (cur != nullptr && env_.ld(cur->key) == key) ? 1 : 0;
+  }
+
+  std::uint64_t scan(TaskId tid, Ver prev, std::uint64_t key, int) {
+    return lookup(tid, prev, key);
   }
 
   std::uint64_t insert(TaskId tid, Ver prev, std::uint64_t key) {
@@ -160,7 +117,7 @@ class VHash {
     VNode* cur = hoh.advance(heads_[hash_of(key, heads_.size())]);
     ticket_.leave_mut(tid, prev);  // bucket head locked: admit the next task
     while (cur != nullptr && env_.ld(cur->key) < key) {
-      env_.exec(kStepInstr);
+      env_.exec(kChainStepInstr);
       cur = hoh.advance(cur->next);
     }
     if (cur != nullptr && env_.ld(cur->key) == key) {
@@ -180,7 +137,7 @@ class VHash {
     VNode* cur = hoh.advance(heads_[hash_of(key, heads_.size())]);
     ticket_.leave_mut(tid, prev);
     while (cur != nullptr && env_.ld(cur->key) < key) {
-      env_.exec(kStepInstr);
+      env_.exec(kChainStepInstr);
       cur = hoh.advance(cur->next);
     }
     if (cur == nullptr || env_.ld(cur->key) != key) {
@@ -207,64 +164,13 @@ class VHash {
 }  // namespace
 
 RunResult hash_table_sequential(Env& env, const DsSpec& spec) {
-  UHash* table = env.make<UHash>(env, bucket_count(spec));
-  const auto ops = generate_ops(spec);
-  return run_sequential(
-      env, [table, &spec] { table->populate(initial_keys(spec)); },
-      [&env, table, ops] {
-        std::uint64_t sum = 0;
-        for (const Op& op : ops) {
-          switch (op.kind) {
-            case OpKind::kLookup:
-            case OpKind::kScan:
-              mix(sum, table->lookup(op.key) ? 1 : 0);
-              break;
-            case OpKind::kInsert:
-              mix(sum, table->insert(op.key) ? 1 : 0);
-              break;
-            case OpKind::kDelete:
-              mix(sum, table->erase(op.key) ? 1 : 0);
-              break;
-          }
-        }
-        return sum;
-      });
+  return run_ops_sequential(env, spec,
+                            *env.make<UHash>(env, bucket_count(spec)));
 }
 
 RunResult hash_table_versioned(Env& env, const DsSpec& spec, int cores) {
-  static_check_workload(env, spec);
-  VHash* table = env.make<VHash>(env, bucket_count(spec));
-  const auto ops = generate_ops(spec);
-  auto results = std::make_shared<std::vector<std::uint64_t>>(ops.size());
-  return run_tasked(
-      env, cores, [table, &spec] { table->populate(initial_keys(spec)); },
-      [&](TaskRuntime& rt) {
-        const auto prevs = prev_mutator_versions(ops);
-        for (std::size_t i = 0; i < ops.size(); ++i) {
-          const Op op = ops[i];
-          const Ver prev = prevs[i];
-          rt.create_task(kFirstTaskId + i,
-                         [table, op, prev, results, i](TaskId tid) {
-                           switch (op.kind) {
-                             case OpKind::kLookup:
-                             case OpKind::kScan:
-                               (*results)[i] = table->lookup(tid, prev, op.key);
-                               break;
-                             case OpKind::kInsert:
-                               (*results)[i] = table->insert(tid, prev, op.key);
-                               break;
-                             case OpKind::kDelete:
-                               (*results)[i] = table->erase(tid, prev, op.key);
-                               break;
-                           }
-                         });
-        }
-      },
-      [results] {
-        std::uint64_t sum = 0;
-        for (std::uint64_t r : *results) mix(sum, r);
-        return sum;
-      });
+  return run_ops_versioned(env, spec, cores,
+                           *env.make<VHash>(env, bucket_count(spec)));
 }
 
 }  // namespace osim

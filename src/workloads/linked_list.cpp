@@ -1,28 +1,21 @@
 #include "workloads/linked_list.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <vector>
 
 #include "runtime/pipeline.hpp"
-#include "workloads/opstream.hpp"
 #include "workloads/runner.hpp"
+#include "workloads/sorted_chain.hpp"
 
 namespace osim {
 
 namespace {
 
-// Instruction charges shared by both variants (loop control, compares).
+// Per-op setup charged by both variants (loop control, compares).
 constexpr std::uint64_t kOpSetupInstr = 30;
-constexpr std::uint64_t kStepInstr = 10;
 
 // ---------------------------------------------------------------------------
-// Unversioned (sequential baseline)
-
-struct UNode {
-  std::uint64_t key;
-  UNode* next;
-};
+// Unversioned (sequential baseline): one sorted chain.
 
 class UList {
  public:
@@ -31,86 +24,26 @@ class UList {
   void populate(const std::vector<std::uint64_t>& keys) {
     std::vector<std::uint64_t> sorted = keys;
     std::sort(sorted.begin(), sorted.end());
-    UNode* prev = nullptr;
+    ChainNode* prev = nullptr;
     for (std::uint64_t k : sorted) {
-      auto* n = new_node(k, nullptr);
+      auto* n = env_.make<ChainNode>(ChainNode{k, nullptr});
       (prev == nullptr ? head_ : prev->next) = n;
       prev = n;
     }
   }
 
-  bool lookup(std::uint64_t key) {
-    env_.exec(kOpSetupInstr);
-    UNode* cur = env_.ld(head_);
-    while (cur != nullptr && env_.ld(cur->key) < key) {
-      env_.exec(kStepInstr);
-      cur = env_.ld(cur->next);
-    }
-    return cur != nullptr && env_.ld(cur->key) == key;
-  }
-
+  bool lookup(std::uint64_t key) { return chain().lookup(key); }
   std::uint64_t scan(std::uint64_t key, int range) {
-    env_.exec(kOpSetupInstr);
-    UNode* cur = env_.ld(head_);
-    while (cur != nullptr && env_.ld(cur->key) < key) {
-      env_.exec(kStepInstr);
-      cur = env_.ld(cur->next);
-    }
-    std::uint64_t sum = 0;
-    for (int i = 0; i < range && cur != nullptr; ++i) {
-      sum += env_.ld(cur->key);
-      env_.exec(kStepInstr);
-      cur = env_.ld(cur->next);
-    }
-    return sum;
+    return chain().scan(key, range);
   }
-
-  bool insert(std::uint64_t key) {
-    env_.exec(kOpSetupInstr);
-    UNode* cur = env_.ld(head_);
-    UNode* prev = nullptr;
-    while (cur != nullptr && env_.ld(cur->key) < key) {
-      env_.exec(kStepInstr);
-      prev = cur;
-      cur = env_.ld(cur->next);
-    }
-    if (cur != nullptr && env_.ld(cur->key) == key) return false;
-    auto* n = new_node(key, cur);
-    env_.st(n->next, cur);
-    if (prev == nullptr) {
-      env_.st(head_, n);
-    } else {
-      env_.st(prev->next, n);
-    }
-    return true;
-  }
-
-  bool erase(std::uint64_t key) {
-    env_.exec(kOpSetupInstr);
-    UNode* cur = env_.ld(head_);
-    UNode* prev = nullptr;
-    while (cur != nullptr && env_.ld(cur->key) < key) {
-      env_.exec(kStepInstr);
-      prev = cur;
-      cur = env_.ld(cur->next);
-    }
-    if (cur == nullptr || env_.ld(cur->key) != key) return false;
-    UNode* after = env_.ld(cur->next);
-    if (prev == nullptr) {
-      env_.st(head_, after);
-    } else {
-      env_.st(prev->next, after);
-    }
-    return true;
-  }
+  bool insert(std::uint64_t key) { return chain().insert(key); }
+  bool erase(std::uint64_t key) { return chain().erase(key); }
 
  private:
-  UNode* new_node(std::uint64_t key, UNode* next) {
-    return env_.make<UNode>(UNode{key, next});
-  }
+  SortedChain chain() { return {env_, head_, kOpSetupInstr}; }
 
   Env& env_;
-  UNode* head_ = nullptr;
+  ChainNode* head_ = nullptr;
 };
 
 // ---------------------------------------------------------------------------
@@ -150,7 +83,7 @@ class VList {
     VNode* cur = ticket_.enter_ro(prev);
     (void)tid;
     while (cur != nullptr && env_.ld(cur->key) < key) {
-      env_.exec(kStepInstr);
+      env_.exec(kChainStepInstr);
       cur = cur->next.load_latest(tid);
     }
     return (cur != nullptr && env_.ld(cur->key) == key) ? 1 : 0;
@@ -161,13 +94,13 @@ class VList {
     VNode* cur = ticket_.enter_ro(prev);
     (void)tid;
     while (cur != nullptr && env_.ld(cur->key) < key) {
-      env_.exec(kStepInstr);
+      env_.exec(kChainStepInstr);
       cur = cur->next.load_latest(tid);
     }
     std::uint64_t sum = 0;
     for (int i = 0; i < range && cur != nullptr; ++i) {
       sum += env_.ld(cur->key);
-      env_.exec(kStepInstr);
+      env_.exec(kChainStepInstr);
       cur = cur->next.load_latest(tid);
     }
     return sum;
@@ -190,7 +123,7 @@ class VList {
     VNode* nxt = hoh.advance(cur->next);
     ticket_.leave_mut(tid, prev);  // root released only after the first deep lock
     while (nxt != nullptr && env_.ld(nxt->key) < key) {
-      env_.exec(kStepInstr);
+      env_.exec(kChainStepInstr);
       VNode* after = hoh.advance(nxt->next);
       cur = nxt;
       nxt = after;
@@ -224,7 +157,7 @@ class VList {
     VNode* nxt = hoh.advance(cur->next);
     ticket_.leave_mut(tid, prev);
     while (nxt != nullptr && env_.ld(nxt->key) < key) {
-      env_.exec(kStepInstr);
+      env_.exec(kChainStepInstr);
       VNode* after = hoh.advance(nxt->next);
       cur = nxt;
       nxt = after;
@@ -250,84 +183,14 @@ class VList {
   TicketRoot<VNode*> ticket_;
 };
 
-std::uint64_t apply_op(const Op& op, int scan_range, auto&& lookup,
-                       auto&& scan, auto&& insert, auto&& erase) {
-  switch (op.kind) {
-    case OpKind::kLookup:
-      return lookup(op.key);
-    case OpKind::kScan:
-      return scan(op.key, scan_range);
-    case OpKind::kInsert:
-      return insert(op.key);
-    case OpKind::kDelete:
-      return erase(op.key);
-  }
-  return 0;
-}
-
 }  // namespace
 
 RunResult linked_list_sequential(Env& env, const DsSpec& spec) {
-  UList* list = env.make<UList>(env);
-  const auto ops = generate_ops(spec);
-  return run_sequential(
-      env, [&env, list, &spec] { list->populate(initial_keys(spec)); },
-      [&env, list, &spec, ops] {
-        std::uint64_t sum = 0;
-        for (const Op& op : ops) {
-          mix(sum, apply_op(
-                       op, spec.scan_range,
-                       [&](std::uint64_t k) -> std::uint64_t {
-                         return list->lookup(k) ? 1 : 0;
-                       },
-                       [&](std::uint64_t k, int r) { return list->scan(k, r); },
-                       [&](std::uint64_t k) -> std::uint64_t {
-                         return list->insert(k) ? 1 : 0;
-                       },
-                       [&](std::uint64_t k) -> std::uint64_t {
-                         return list->erase(k) ? 1 : 0;
-                       }));
-        }
-        return sum;
-      });
+  return run_ops_sequential(env, spec, *env.make<UList>(env));
 }
 
 RunResult linked_list_versioned(Env& env, const DsSpec& spec, int cores) {
-  static_check_workload(env, spec);
-  VList* list = env.make<VList>(env);
-  const auto ops = generate_ops(spec);
-  auto results = std::make_shared<std::vector<std::uint64_t>>(ops.size());
-  return run_tasked(
-      env, cores,
-      [list, &spec] { list->populate(initial_keys(spec)); },
-      [&](TaskRuntime& rt) {
-        const auto prevs = prev_mutator_versions(ops);
-        for (std::size_t i = 0; i < ops.size(); ++i) {
-          const Op op = ops[i];
-          const Ver prev = prevs[i];
-          rt.create_task(
-              kFirstTaskId + i,
-              [list, op, prev, &spec, results, i](TaskId tid) {
-                (*results)[i] = apply_op(
-                    op, spec.scan_range,
-                    [&](std::uint64_t k) { return list->lookup(tid, prev, k); },
-                    [&](std::uint64_t k, int r) {
-                      return list->scan(tid, prev, k, r);
-                    },
-                    [&](std::uint64_t k) {
-                      return list->insert(tid, prev, k);
-                    },
-                    [&](std::uint64_t k) {
-                      return list->erase(tid, prev, k);
-                    });
-              });
-        }
-      },
-      [results] {
-        std::uint64_t sum = 0;
-        for (std::uint64_t r : *results) mix(sum, r);
-        return sum;
-      });
+  return run_ops_versioned(env, spec, cores, *env.make<VList>(env));
 }
 
 }  // namespace osim

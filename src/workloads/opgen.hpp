@@ -18,6 +18,11 @@ struct Op {
   std::uint64_t key;
 };
 
+/// Inserts and deletes: the ops that rename the structure's root ticket.
+inline bool is_mutator(OpKind k) {
+  return k == OpKind::kInsert || k == OpKind::kDelete;
+}
+
 /// Parameters for a data-structure experiment run.
 struct DsSpec {
   std::size_t initial_size = 1000;  ///< small = 1000, large = 10000

@@ -34,10 +34,8 @@ std::vector<analysis::VOp> root_protocol_stream(const DsSpec& spec) {
 
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const TaskId t = kFirstTaskId + i;
-    const bool mutator =
-        ops[i].kind == OpKind::kInsert || ops[i].kind == OpKind::kDelete;
     push(OpCode::kTaskBegin, t, 0, t);
-    if (mutator) {
+    if (is_mutator(ops[i].kind)) {
       push(OpCode::kLockLoadVersion, prev[i], 0, t);
       push(OpCode::kUnlockVersion, prev[i], 0, t, Ver{t});
     } else {

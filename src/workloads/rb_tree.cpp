@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "runtime/pipeline.hpp"
-#include "workloads/opstream.hpp"
 #include "workloads/runner.hpp"
 
 namespace osim {
@@ -228,6 +227,27 @@ std::uint64_t scan_unversioned(Env& env, UPolicy& p, URNode* n,
   return sum + scan_unversioned(env, p, p.right(n), key, remaining);
 }
 
+/// The sequential tree: RbCore's lookup/insert/erase over UPolicy, plus the
+/// unversioned in-order scan.
+class URbTree : public RbCore<UPolicy> {
+ public:
+  URbTree(Env& env, UPolicy& p) : RbCore(p), env_(env), policy_(p) {}
+
+  void populate(const std::vector<std::uint64_t>& keys) {
+    for (std::uint64_t k : keys) insert(k);
+  }
+
+  std::uint64_t scan(std::uint64_t key, int range) {
+    env_.exec(kOpSetupInstr);
+    int remaining = range;
+    return scan_unversioned(env_, policy_, policy_.root(), key, remaining);
+  }
+
+ private:
+  Env& env_;
+  UPolicy& policy_;
+};
+
 // ---------------------------------------------------------------------------
 // Versioned policy: single writer with a write buffer, committed once per
 // touched field as version tid.
@@ -380,20 +400,6 @@ class VRbTree {
     ticket_.init(mirror(bp.root()), kSetupVersion);
   }
 
-  std::uint64_t writer_op(TaskId tid, Ver prev, std::uint64_t key,
-                          bool insert) {
-    env_.exec(kOpSetupInstr);
-    VRNode* root = ticket_.enter_mut(tid, prev);
-    WriterPolicy p(env_, tid, root);
-    RbCore<WriterPolicy> core(p);
-    const std::uint64_t changed = insert ? core.insert(key) : core.erase(key);
-    p.commit();
-    ticket_.leave_mut(tid, prev,
-                      p.root_changed() ? std::optional<VRNode*>(p.new_root())
-                                       : std::nullopt);
-    return changed;
-  }
-
   std::uint64_t lookup(TaskId tid, Ver prev, std::uint64_t key) {
     env_.exec(kOpSetupInstr);
     VRNode* cur = ticket_.enter_ro(prev);
@@ -415,7 +421,30 @@ class VRbTree {
     return scan_rec(root, tid, key, remaining);
   }
 
+  std::uint64_t insert(TaskId tid, Ver prev, std::uint64_t key) {
+    return writer_op(tid, prev, key, true);
+  }
+  std::uint64_t erase(TaskId tid, Ver prev, std::uint64_t key) {
+    return writer_op(tid, prev, key, false);
+  }
+
  private:
+  /// One insert or logical delete, the single writer holding the root
+  /// ticket throughout.
+  std::uint64_t writer_op(TaskId tid, Ver prev, std::uint64_t key,
+                          bool insert) {
+    env_.exec(kOpSetupInstr);
+    VRNode* root = ticket_.enter_mut(tid, prev);
+    WriterPolicy p(env_, tid, root);
+    RbCore<WriterPolicy> core(p);
+    const std::uint64_t changed = insert ? core.insert(key) : core.erase(key);
+    p.commit();
+    ticket_.leave_mut(tid, prev,
+                      p.root_changed() ? std::optional<VRNode*>(p.new_root())
+                                       : std::nullopt);
+    return changed;
+  }
+
   /// Deep-copy the host-built shape into versioned nodes, publishing every
   /// field exactly once at the setup version.
   VRNode* mirror(BuildNode* b) {
@@ -453,87 +482,19 @@ class VRbTree {
 }  // namespace
 
 RunResult rb_tree_sequential(Env& env, const DsSpec& spec) {
-  UPolicy* p = env.make<UPolicy>(env);
-  const auto ops = generate_ops(spec);
-  return run_sequential(
-      env,
-      [p, &spec] {
-        RbCore<UPolicy> core(*p);
-        for (std::uint64_t k : initial_keys(spec)) core.insert(k);
-      },
-      [&env, p, &spec, ops] {
-        RbCore<UPolicy> core(*p);
-        std::uint64_t sum = 0;
-        for (const Op& op : ops) {
-          switch (op.kind) {
-            case OpKind::kLookup:
-              mix(sum, core.lookup(op.key));
-              break;
-            case OpKind::kScan: {
-              env.exec(kOpSetupInstr);
-              int remaining = spec.scan_range;
-              mix(sum, scan_unversioned(env, *p, p->root(), op.key,
-                                        remaining));
-              break;
-            }
-            case OpKind::kInsert:
-              mix(sum, core.insert(op.key));
-              break;
-            case OpKind::kDelete:
-              mix(sum, core.erase(op.key));
-              break;
-          }
-        }
-        return sum;
-      });
+  URbTree tree(env, *env.make<UPolicy>(env));
+  return run_ops_sequential(env, spec, tree);
 }
 
 RunResult rb_tree_versioned(Env& env, const DsSpec& spec, int cores) {
-  static_check_workload(env, spec);
-  VRbTree* tree = env.make<VRbTree>(env);
-  const auto ops = generate_ops(spec);
-  auto results = std::make_shared<std::vector<std::uint64_t>>(ops.size());
-  return run_tasked(
-      env, cores, [tree, &spec] { tree->populate(initial_keys(spec)); },
-      [&](TaskRuntime& rt) {
-        const auto prevs = prev_mutator_versions(ops);
-        for (std::size_t i = 0; i < ops.size(); ++i) {
-          const Op op = ops[i];
-          const Ver prev = prevs[i];
-          rt.create_task(
-              kFirstTaskId + i,
-              [tree, op, prev, &spec, results, i](TaskId tid) {
-                switch (op.kind) {
-                  case OpKind::kLookup:
-                    (*results)[i] = tree->lookup(tid, prev, op.key);
-                    break;
-                  case OpKind::kScan:
-                    (*results)[i] =
-                        tree->scan(tid, prev, op.key, spec.scan_range);
-                    break;
-                  case OpKind::kInsert:
-                    (*results)[i] = tree->writer_op(tid, prev, op.key, true);
-                    break;
-                  case OpKind::kDelete:
-                    (*results)[i] = tree->writer_op(tid, prev, op.key, false);
-                    break;
-                }
-              });
-        }
-      },
-      [results] {
-        std::uint64_t sum = 0;
-        for (std::uint64_t r : *results) mix(sum, r);
-        return sum;
-      });
+  return run_ops_versioned(env, spec, cores, *env.make<VRbTree>(env));
 }
 
 bool rb_invariants_hold(Env& env, const std::vector<std::uint64_t>& keys) {
   UPolicy& p = *env.make<UPolicy>(env);
   bool ok = true;
   env.spawn(0, [&] {
-    RbCore<UPolicy> core(p);
-    for (std::uint64_t k : keys) core.insert(k);
+    URbTree(env, p).populate(keys);
     // Validate: BST order, root black, no red-red, equal black heights.
     struct V {
       static int check(UPolicy& p, URNode* n, std::uint64_t lo,

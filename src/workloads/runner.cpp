@@ -7,9 +7,7 @@ std::vector<Ver> prev_mutator_versions(const std::vector<Op>& ops) {
   Ver last = kSetupVersion;
   for (std::size_t i = 0; i < ops.size(); ++i) {
     prev[i] = last;
-    if (ops[i].kind == OpKind::kInsert || ops[i].kind == OpKind::kDelete) {
-      last = kFirstTaskId + i;
-    }
+    if (is_mutator(ops[i].kind)) last = kFirstTaskId + i;
   }
   return prev;
 }
@@ -37,6 +35,27 @@ RunResult run_tasked(Env& env, int cores, std::function<void()> setup,
   result.cycles = rt.run();
   if (finalize) result.checksum = finalize();
   return result;
+}
+
+RunResult run_task_per_op(Env& env, const DsSpec& spec, int cores,
+                          std::function<void()> setup, OpTask op_task) {
+  const std::vector<Op> ops = generate_ops(spec);
+  const std::vector<Ver> prevs = prev_mutator_versions(ops);
+  std::vector<std::uint64_t> results(ops.size());
+  return run_tasked(
+      env, cores, std::move(setup),
+      [&](TaskRuntime& rt) {
+        for (std::size_t i = 0; i < ops.size(); ++i) {
+          rt.create_task(kFirstTaskId + i, [&, i](TaskId tid) {
+            results[i] = op_task(tid, prevs[i], ops[i]);
+          });
+        }
+      },
+      [&] {
+        std::uint64_t sum = 0;
+        for (std::uint64_t r : results) mix(sum, r);
+        return sum;
+      });
 }
 
 }  // namespace osim

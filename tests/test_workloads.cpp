@@ -260,5 +260,71 @@ TEST(Workloads, CyclesAreReproducible) {
   EXPECT_EQ(ra.checksum, rb.checksum);
 }
 
+// Timed cycles and checksums of the data-structure workloads, recorded
+// before the structures shared one op driver. Runs that only agree with
+// each other cannot catch a change that moves, adds or drops one simulated
+// access; these fixed values do. Update them only with a change that means
+// to change the model.
+struct GoldenRun {
+  const char* name;
+  int cores;  ///< 0: the sequential baseline
+  int scan_range;
+  Cycles cycles;
+  std::uint64_t checksum;
+};
+
+constexpr GoldenRun kGoldenRuns[] = {
+    {"linked_list", 0, 1, 228678, 0xa8f184348a766874ull},
+    {"linked_list", 1, 1, 254936, 0xa8f184348a766874ull},
+    {"linked_list", 4, 1, 120366, 0xa8f184348a766874ull},
+    {"linked_list", 0, 8, 241027, 0x7f392c9019b4aa1bull},
+    {"linked_list", 1, 8, 267285, 0x7f392c9019b4aa1bull},
+    {"linked_list", 4, 8, 123170, 0x7f392c9019b4aa1bull},
+    {"binary_tree", 0, 1, 45776, 0xa8f184348a766874ull},
+    {"binary_tree", 1, 1, 64713, 0xa8f184348a766874ull},
+    {"binary_tree", 4, 1, 35985, 0xa8f184348a766874ull},
+    {"binary_tree", 0, 8, 65924, 0x7f392c9019b4aa1bull},
+    {"binary_tree", 1, 8, 89651, 0x7f392c9019b4aa1bull},
+    {"binary_tree", 4, 8, 47156, 0x7f392c9019b4aa1bull},
+    {"hash_table", 0, 1, 20432, 0xa8f184348a766874ull},
+    {"hash_table", 1, 1, 33392, 0xa8f184348a766874ull},
+    {"hash_table", 4, 1, 19096, 0xa8f184348a766874ull},
+    {"hash_table", 0, 8, 20432, 0xa8f184348a766874ull},
+    {"hash_table", 1, 8, 33392, 0xa8f184348a766874ull},
+    {"hash_table", 4, 8, 19096, 0xa8f184348a766874ull},
+    {"rb_tree", 0, 1, 19404, 0xa8f184348a766874ull},
+    {"rb_tree", 1, 1, 54694, 0xa8f184348a766874ull},
+    {"rb_tree", 4, 1, 37521, 0xa8f184348a766874ull},
+    {"rb_tree", 0, 8, 41359, 0x7f392c9019b4aa1bull},
+    {"rb_tree", 1, 8, 79709, 0x7f392c9019b4aa1bull},
+    {"rb_tree", 4, 8, 47116, 0x7f392c9019b4aa1bull},
+    {"binary_tree_rwlock", 4, 1, 31308, 0x326d967ee0b8b397ull},
+    {"binary_tree_rwlock", 4, 8, 36982, 0x2edb93d1d12e6ed1ull},
+};
+
+TEST(Workloads, TimedCyclesMatchRecordedValues) {
+  const WorkloadCase structures[] = {
+      {"linked_list", linked_list_sequential, linked_list_versioned},
+      {"binary_tree", binary_tree_sequential, binary_tree_versioned},
+      {"hash_table", hash_table_sequential, hash_table_versioned},
+      {"rb_tree", rb_tree_sequential, rb_tree_versioned},
+      {"binary_tree_rwlock", nullptr, binary_tree_rwlock},
+  };
+  for (const GoldenRun& g : kGoldenRuns) {
+    const auto wc = std::find_if(
+        std::begin(structures), std::end(structures),
+        [&](const WorkloadCase& c) { return std::string(c.name) == g.name; });
+    ASSERT_NE(wc, std::end(structures)) << g.name;
+    const DsSpec spec = small_spec(4, g.scan_range);
+    Env env(cfg(std::max(g.cores, 1)));
+    const RunResult r =
+        g.cores == 0 ? wc->seq(env, spec) : wc->par(env, spec, g.cores);
+    EXPECT_EQ(r.cycles, g.cycles) << g.name << " cores=" << g.cores
+                                  << " scan_range=" << g.scan_range;
+    EXPECT_EQ(r.checksum, g.checksum) << g.name << " cores=" << g.cores
+                                      << " scan_range=" << g.scan_range;
+  }
+}
+
 }  // namespace
 }  // namespace osim

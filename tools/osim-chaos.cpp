@@ -49,6 +49,7 @@ namespace {
 
 using bench::CellResult;
 using bench::Driver;
+using bench::splitmix64;
 
 struct ChaosOptions {
   int rounds = 3;
@@ -78,13 +79,6 @@ struct ChaosOptions {
       "                   derived rate plan over pool/slots/deadlock)\n"
       "  --json PATH      merge results into the bench JSON (chaos_soak)\n");
   std::exit(code);
-}
-
-std::uint64_t splitmix64(std::uint64_t& s) {
-  std::uint64_t z = (s += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
 }
 
 constexpr std::size_t kSlots = 64;

@@ -104,6 +104,20 @@ if [ -n "$counter_bad" ]; then
 fi
 echo "run-lint: counters OK (one MetricRegistry vocabulary, no hand-built keys)"
 
+# Op-driver lint (toolchain-free, always enforced): the data-structure
+# workloads run their op mix through the op drivers in
+# src/workloads/runner.hpp, which dispatch each op kind to the structure's
+# uniform interface. A switch over OpKind anywhere else in src/workloads
+# is a hand-copied driver.
+driver_bad=$(grep -rn 'case OpKind::' src/workloads \
+                  --exclude='runner.*' --exclude='opgen.*' || true)
+if [ -n "$driver_bad" ]; then
+  echo "run-lint: OP DRIVER — run the ops through src/workloads/runner.hpp:"
+  echo "$driver_bad"
+  exit 1
+fi
+echo "run-lint: op drivers OK (OpKind is dispatched only in src/workloads/runner.*)"
+
 if ! command -v clang-tidy > /dev/null 2>&1; then
   echo "run-lint: clang-tidy not installed; skipping (install LLVM to lint)"
   exit 0
