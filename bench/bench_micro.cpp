@@ -1,11 +1,12 @@
 // Host-side micro-benchmarks (google-benchmark) of the simulator substrate
-// and O-structure primitives: fiber switches, cache probes, hierarchy
-// accesses, version-list operations, version-block carving, compressed-line
-// codec, complete versioned operations and Env construction. These measure
-// *simulator* throughput (host ns/op), which bounds how much simulated work
-// the figure benches can afford. The ConcurrentVersionStore benches measure
-// the host engine's own layers: the task lifecycle a pool worker runs per
-// task, and one uncontended LOAD-LATEST.
+// and O-structure primitives: fiber switches, machine scheduling points,
+// cache probes, hierarchy accesses, version-list operations, version-block
+// carving, compressed-line codec, complete versioned operations and Env
+// construction. These measure *simulator* throughput (host ns/op), which
+// bounds how much simulated work the figure benches can afford. The
+// ConcurrentVersionStore benches measure the host engine's own layers: the
+// task lifecycle a pool worker runs per task, and one uncontended
+// LOAD-LATEST.
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
 
@@ -20,6 +21,7 @@
 #include "runtime/env.hpp"
 #include "sim/cache.hpp"
 #include "sim/fiber.hpp"
+#include "sim/machine.hpp"
 #include "sim/memory_system.hpp"
 
 namespace osim {
@@ -40,6 +42,35 @@ void BM_FiberSwitch(benchmark::State& state) {
   stop = true;
   f.resume();  // let the fiber run to completion
   state.SetItemsProcessed(state.iterations() * 2);  // two switches per resume
+}
+
+// Scheduling: range(0) cores each make kAccesses mem_access calls on eight
+// private lines (L1 hits after the first pass). Every call is a scheduling
+// point, and with equal clocks nearly every one hands the core over, so
+// this is the scheduler's pick plus a fiber switch plus an L1 hit.
+// sched_point_time is the host time per call.
+void BM_MachineSchedule(benchmark::State& state) {
+  constexpr int kAccesses = 1000;
+  MachineConfig cfg;
+  cfg.num_cores = static_cast<int>(state.range(0));
+  Machine m(cfg);
+  for (auto _ : state) {
+    for (CoreId c = 0; c < cfg.num_cores; ++c) {
+      m.spawn(c, [c] {
+        const Addr base = 0x100000 * static_cast<Addr>(c + 1);
+        for (int i = 0; i < kAccesses; ++i) {
+          mach().mem_access(base + kLineBytes * (i % 8), AccessType::kRead);
+        }
+      });
+    }
+    m.run();
+  }
+  const auto points = static_cast<double>(cfg.num_cores) * kAccesses;
+  state.counters["sched_point_time"] = benchmark::Counter(
+      points, benchmark::Counter::kIsIterationInvariantRate |
+                  benchmark::Counter::kInvert);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(points));
 }
 
 void BM_CacheHit(benchmark::State& state) {
@@ -271,6 +302,7 @@ BENCHMARK(BM_CompressedInstallFind);
 BENCHMARK(BM_VersionedStoreLoad);
 BENCHMARK(BM_VersionedDirectHit);
 BENCHMARK(BM_FiberSwitch);
+BENCHMARK(BM_MachineSchedule)->Arg(2)->Arg(32);
 // Fixed iteration count: the per-task cost still rises with the number of
 // tasks a run creates (single thread about 42/52/63 ns at 2^17/2^19/2^21
 // iterations), for a reason not yet identified — the task trackers' tables

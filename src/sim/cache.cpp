@@ -18,8 +18,9 @@ Cache::Cache(const CacheConfig& cfg) : cfg_(cfg), sets_(cfg.num_sets()) {
 
 Cache::Way* Cache::find(Addr line) {
   auto* base = &ways_[set_index(line) * cfg_.ways];
+  const Addr key = line | Way::kValid;
   for (int i = 0; i < cfg_.ways; ++i) {
-    if (base[i].valid && base[i].tag == line) return &base[i];
+    if ((base[i].bits & ~Way::kDirty) == key) return &base[i];
   }
   return nullptr;
 }
@@ -32,14 +33,14 @@ bool Cache::contains(Addr addr) const { return find(line_of(addr)) != nullptr; }
 
 bool Cache::dirty(Addr addr) const {
   const Way* w = find(line_of(addr));
-  return w != nullptr && w->dirty_;
+  return w != nullptr && w->dirty();
 }
 
 bool Cache::access(Addr addr, bool write) {
   Way* w = find(line_of(addr));
   if (w == nullptr) return false;
   w->lru = ++tick_;
-  if (write) w->dirty_ = true;
+  if (write) w->bits |= Way::kDirty;
   return true;
 }
 
@@ -49,21 +50,19 @@ Cache::Eviction Cache::fill(Addr addr, bool dirty) {
   auto* base = &ways_[set_index(line) * cfg_.ways];
   Way* victim = &base[0];
   for (int i = 0; i < cfg_.ways; ++i) {
-    if (!base[i].valid) {
+    if (!base[i].valid()) {
       victim = &base[i];
       break;
     }
     if (base[i].lru < victim->lru) victim = &base[i];
   }
   Eviction ev;
-  if (victim->valid) {
+  if (victim->valid()) {
     ev.valid = true;
-    ev.line = victim->tag;
-    ev.dirty = victim->dirty_;
+    ev.line = victim->line();
+    ev.dirty = victim->dirty();
   }
-  victim->valid = true;
-  victim->tag = line;
-  victim->dirty_ = dirty;
+  victim->bits = line | Way::kValid | (dirty ? Way::kDirty : 0);
   victim->lru = ++tick_;
   return ev;
 }
@@ -71,13 +70,12 @@ Cache::Eviction Cache::fill(Addr addr, bool dirty) {
 bool Cache::invalidate(Addr addr) {
   Way* w = find(line_of(addr));
   if (w == nullptr) return false;
-  w->valid = false;
-  w->dirty_ = false;
+  w->bits = 0;
   return true;
 }
 
 void Cache::clean(Addr addr) {
-  if (Way* w = find(line_of(addr))) w->dirty_ = false;
+  if (Way* w = find(line_of(addr))) w->bits &= ~Way::kDirty;
 }
 
 void Cache::flush() {
@@ -87,7 +85,7 @@ void Cache::flush() {
 
 std::uint64_t Cache::occupied_lines() const {
   std::uint64_t n = 0;
-  for (const auto& w : ways_) n += w.valid ? 1 : 0;
+  for (const auto& w : ways_) n += w.valid() ? 1 : 0;
   return n;
 }
 

@@ -49,12 +49,19 @@ class Cache {
   std::uint64_t occupied_lines() const;
 
  private:
+  // A way in 16 bytes: the full line address with the valid and dirty
+  // flags in its low bits, which a 64-byte-aligned line address leaves free.
   struct Way {
-    Addr tag = 0;          // full line address
-    bool valid = false;
-    bool dirty_ = false;
+    static constexpr Addr kValid = 1;
+    static constexpr Addr kDirty = 2;
+    Addr bits = 0;          // line | kValid | kDirty
     std::uint64_t lru = 0;  // larger = more recently used
+
+    bool valid() const { return (bits & kValid) != 0; }
+    bool dirty() const { return (bits & kDirty) != 0; }
+    Addr line() const { return bits & kLineMask; }
   };
+  static_assert(sizeof(Way) == 16);
 
   std::size_t set_index(Addr line) const {
     // Power-of-two set counts (the common case: every Table II L1) index

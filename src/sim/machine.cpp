@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace osim {
 
@@ -46,7 +47,6 @@ void Machine::spawn(CoreId core, std::function<void()> body) {
   }
   ctx.fiber.reset();
   ctx.state = CoreState::kRunnable;
-  invalidate_order_cache();
   ctx.fiber = std::make_unique<Fiber>(
       [this, body = std::move(body)] {
         try {
@@ -61,38 +61,31 @@ void Machine::spawn(CoreId core, std::function<void()> body) {
         }
       },
       cfg_.fiber_stack_bytes);
+  push_ready(core);
 }
 
-CoreId Machine::earliest_runnable() const {
-  CoreId best = -1;
-  for (std::size_t i = 0; i < cores_.size(); ++i) {
-    const auto& c = cores_[i];
-    if (c.state != CoreState::kRunnable) continue;
-    if (best < 0 || c.clock < cores_[static_cast<std::size_t>(best)].clock) {
-      best = static_cast<CoreId>(i);
-    }
-  }
-  return best;
+bool Machine::runs_after(CoreId a, CoreId b) const {
+  const Cycles ca = cores_[static_cast<std::size_t>(a)].clock;
+  const Cycles cb = cores_[static_cast<std::size_t>(b)].clock;
+  return ca > cb || (ca == cb && a > b);
+}
+
+void Machine::push_ready(CoreId core) {
+  ready_.push_back(core);
+  std::push_heap(ready_.begin(), ready_.end(),
+                 [this](CoreId a, CoreId b) { return runs_after(a, b); });
+}
+
+CoreId Machine::pop_ready() {
+  std::pop_heap(ready_.begin(), ready_.end(),
+                [this](CoreId a, CoreId b) { return runs_after(a, b); });
+  const CoreId core = ready_.back();
+  ready_.pop_back();
+  return core;
 }
 
 bool Machine::i_am_earliest() const {
-  if (!order_cache_valid_) {
-    other_min_id_ = -1;
-    for (std::size_t i = 0; i < cores_.size(); ++i) {
-      const auto& c = cores_[i];
-      if (static_cast<CoreId>(i) == running_) continue;
-      if (c.state != CoreState::kRunnable) continue;
-      if (other_min_id_ < 0 || c.clock < other_min_clock_) {
-        other_min_clock_ = c.clock;
-        other_min_id_ = static_cast<CoreId>(i);
-      }
-    }
-    order_cache_valid_ = true;
-  }
-  if (other_min_id_ < 0) return true;
-  const Cycles mine = cores_[static_cast<std::size_t>(running_)].clock;
-  return other_min_clock_ > mine ||
-         (other_min_clock_ == mine && other_min_id_ > running_);
+  return ready_.empty() || runs_after(ready_.front(), running_);
 }
 
 void Machine::yield_current() {
@@ -146,8 +139,8 @@ void Machine::wake_all(WaitList& wl, Cycles wake_latency) {
     ctx.clock = std::max(ctx.clock, arrival);
     stall_cycles_.inc(w, ctx.clock - ctx.block_start);
     ctx.state = CoreState::kRunnable;
+    push_ready(w);
   }
-  if (!wl.waiters_.empty()) invalidate_order_cache();
   wl.waiters_.clear();
 }
 
@@ -158,17 +151,18 @@ void Machine::cancel_all() {
   for (auto& c : cores_) {
     if (!c.fiber) continue;
     if (!c.fiber->started()) {
+      c.fiber.reset();  // never ran: the core can take a new program
       c.state = CoreState::kDone;
       continue;
     }
     while (!c.fiber->finished()) {
       running_ = static_cast<CoreId>(&c - cores_.data());
-      invalidate_order_cache();
       c.fiber->resume();
     }
     c.state = CoreState::kDone;
     running_ = -1;
   }
+  ready_.clear();
   cancelling_ = false;
 }
 
@@ -179,36 +173,32 @@ void Machine::run() {
     ~Reset() { g_machine = nullptr; }
   } reset;
 
-  while (true) {
-    const CoreId c = earliest_runnable();
-    if (c < 0) {
-      bool any_blocked = false;
-      std::size_t blocked = 0;
-      for (const auto& ctx : cores_) {
-        if (ctx.state == CoreState::kBlocked) {
-          any_blocked = true;
-          ++blocked;
-        }
-      }
-      if (!any_blocked) break;  // all programs done
-      cancel_all();
-      throw SimError("deadlock: " + std::to_string(blocked) +
-                     " core(s) blocked with no possible wakeup");
-    }
+  while (!ready_.empty()) {
+    const CoreId c = pop_ready();
     auto& ctx = cores_[static_cast<std::size_t>(c)];
     running_ = c;
-    invalidate_order_cache();
     ctx.fiber->resume();
     running_ = -1;
     if (ctx.fiber->finished()) {
       ctx.state = CoreState::kDone;
       elapsed_ = std::max(elapsed_, ctx.clock);
+    } else if (ctx.state == CoreState::kRunnable) {
+      push_ready(c);
     }
     if (faulted_) {
       cancel_all();
-      throw SimError(fault_);
+      faulted_ = false;
+      throw SimError(std::exchange(fault_, {}));
     }
   }
+  const auto blocked =
+      std::count_if(cores_.begin(), cores_.end(), [](const CoreCtx& c) {
+        return c.state == CoreState::kBlocked;
+      });
+  if (blocked == 0) return;  // all programs done
+  cancel_all();
+  throw SimError("deadlock: " + std::to_string(blocked) +
+                 " core(s) blocked with no possible wakeup");
 }
 
 }  // namespace osim

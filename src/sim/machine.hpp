@@ -68,7 +68,8 @@ class Machine {
   void spawn(CoreId core, std::function<void()> body);
 
   /// Run until every spawned core finishes. Throws SimError on deadlock or
-  /// on a fault recorded by a core.
+  /// on a fault recorded by a core; either way the cores can then be given
+  /// new programs and run again.
   void run();
 
   // ---- Core-side API (call only from inside a spawned fiber) ----
@@ -125,19 +126,17 @@ class Machine {
     CoreState state = CoreState::kIdle;
   };
 
-  /// Earliest runnable core, or -1. Linear scan: num_cores <= 64 and the
-  /// scan only happens at scheduling points.
-  CoreId earliest_runnable() const;
+  /// Whether core `a` comes after core `b` in (clock, id) order.
+  bool runs_after(CoreId a, CoreId b) const;
+  void push_ready(CoreId core);
+  /// Remove and return the earliest core of ready_. ready_ must not be empty.
+  CoreId pop_ready();
   /// Whether the running core precedes every other runnable core in
-  /// (clock, id) order. Called before every memory event, so the minimum
-  /// over the *other* runnable cores is cached: while one core runs, only
-  /// its own clock moves, and the cache is invalidated at the points that
-  /// change other cores (resume, spawn, wake_all).
+  /// (clock, id) order: one comparison with the top of ready_.
   bool i_am_earliest() const;
-  void invalidate_order_cache() { order_cache_valid_ = false; }
   void yield_current();
   /// Unwind every unfinished fiber (after a fault or deadlock) so stacks are
-  /// cleanly destroyed before run() rethrows.
+  /// cleanly destroyed before run() rethrows, and empty ready_.
   void cancel_all();
 
   MachineConfig cfg_;
@@ -149,11 +148,12 @@ class Machine {
   MemorySystem memsys_;
   std::vector<CoreCtx> cores_;
   CoreId running_ = -1;
-  /// Cached (clock, id) minimum over runnable cores other than running_.
-  /// Valid only while running_ executes; see i_am_earliest().
-  mutable bool order_cache_valid_ = false;
-  mutable Cycles other_min_clock_ = 0;
-  mutable CoreId other_min_id_ = -1;
+  /// Runnable cores other than running_, a binary min-heap on (clock, id).
+  /// A core enters on spawn, on wake_all (after its clock is set) and when
+  /// run() gets it back still runnable; run() pops it to resume it. Only
+  /// the running core's clock moves and blocked cores are not here, so a
+  /// key never changes while its core is in the heap.
+  std::vector<CoreId> ready_;
   Cycles elapsed_ = 0;
   std::string fault_;
   bool faulted_ = false;

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <stdexcept>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 namespace osim {
@@ -89,6 +93,35 @@ TEST(Machine, TieBreaksByCoreId) {
   EXPECT_EQ(order[0], 0);  // equal clocks: lower id goes first
 }
 
+TEST(Machine, WokenCoreTyingAnotherRunsInCoreIdOrder) {
+  // Core 2 wakes `woken` at clock 110, the clock `tied` reaches by itself;
+  // of two runnable cores with equal clocks the lower id goes first,
+  // whichever of them was woken.
+  for (const auto& [woken, tied] : {std::pair<CoreId, CoreId>{0, 1}, {1, 0}}) {
+    Machine m(cfg(3));
+    WaitList wl;
+    std::vector<CoreId> order;
+    m.spawn(woken, [&, w = woken] {
+      mach().block_on(wl);
+      EXPECT_EQ(mach().now(), 110u);
+      mach().mem_access(0x1000, AccessType::kRead);
+      order.push_back(w);
+    });
+    m.spawn(tied, [&, t = tied] {
+      mach().advance(110);
+      mach().mem_access(0x2000, AccessType::kRead);
+      order.push_back(t);
+    });
+    m.spawn(2, [&] {
+      mach().advance(100);
+      mach().sync_to_global_order();
+      mach().wake_all(wl, /*wake_latency=*/10);
+    });
+    m.run();
+    EXPECT_EQ(order, (std::vector<CoreId>{0, 1})) << "woken core " << woken;
+  }
+}
+
 TEST(Machine, BlockAndWake) {
   Machine m(cfg(2));
   WaitList wl;
@@ -159,6 +192,217 @@ TEST(Machine, FaultPropagatesOutOfRun) {
     EXPECT_NE(std::string(e.what()).find("protection fault"),
               std::string::npos);
   }
+}
+
+// After a faulted or deadlocked run the machine holds no runnable core:
+// new programs run to completion on it.
+TEST(Machine, RunsAgainAfterFault) {
+  // At the fault core 0 is blocked, core 1 is runnable and core 3 has not
+  // started yet.
+  Machine m(cfg(4));
+  WaitList wl;
+  m.spawn(0, [&] { mach().block_on(wl); });
+  m.spawn(1, [&] {
+    mach().advance(5);
+    mach().mem_access(0x1000, AccessType::kRead);
+  });
+  m.spawn(2, [&] { throw std::runtime_error("simulated protection fault"); });
+  m.spawn(3, [&] { mach().exec(1); });
+  EXPECT_THROW(m.run(), SimError);
+  int finished = 0;
+  for (CoreId c = 0; c < 4; ++c) {
+    m.spawn(c, [&] {
+      mach().mem_access(0x2000, AccessType::kWrite);
+      ++finished;
+    });
+  }
+  m.run();
+  EXPECT_EQ(finished, 4);
+}
+
+TEST(Machine, RunsAgainAfterDeadlock) {
+  Machine m(cfg(2));
+  WaitList wl;
+  m.spawn(0, [&] { mach().block_on(wl); });
+  m.spawn(1, [&] {
+    mach().advance(3);
+    mach().block_on(wl);
+  });
+  EXPECT_THROW(m.run(), SimError);
+  int finished = 0;
+  for (CoreId c = 0; c < 2; ++c) {
+    m.spawn(c, [&] {
+      mach().exec(4);
+      ++finished;
+    });
+  }
+  m.run();
+  EXPECT_EQ(finished, 2);
+}
+
+// Random programs of advance, mem_access, block_on and wake_all, run on the
+// machine and on a brute-force reference that scans every core for the
+// (clock, id) minimum at each scheduling point and drives its own memory
+// system. The two must see the same memory events, in the same order, at
+// the same clocks.
+struct RandomOp {
+  enum Kind { kAdvance, kMem, kBlock, kWake } kind;
+  std::uint64_t arg;  // cycles, address or wake latency
+  int list;           // wait list of kBlock / kWake
+};
+
+// One memory event: (core, address, clock after the access).
+using MemEvent = std::tuple<CoreId, Addr, Cycles>;
+
+constexpr int kRandomCores = 8;
+constexpr int kRandomLists = 3;
+
+std::vector<std::vector<RandomOp>> random_programs(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::vector<RandomOp>> progs(kRandomCores);
+  for (auto& prog : progs) {
+    const int n = 20 + static_cast<int>(rng() % 30);
+    for (int i = 0; i < n; ++i) {
+      const auto r = rng() % 10;
+      const int list = static_cast<int>(rng() % kRandomLists);
+      if (r < 3) {
+        prog.push_back({RandomOp::kAdvance, rng() % 40, list});
+      } else if (r < 7) {
+        // Eight shared lines: coherence makes latencies order-dependent.
+        const Addr a = 0x10000 + 64 * (rng() % 8) + (rng() % 2) * 8;
+        prog.push_back({RandomOp::kMem, a, list});
+      } else if (r < 8) {
+        prog.push_back({RandomOp::kBlock, 0, list});
+      } else {
+        prog.push_back({RandomOp::kWake, rng() % 12, list});
+      }
+    }
+    for (int l = 0; l < kRandomLists; ++l) {
+      prog.push_back({RandomOp::kWake, 0, l});
+    }
+  }
+  return progs;
+}
+
+AccessType access_type(Addr a) {
+  return (a & 8) != 0 ? AccessType::kWrite : AccessType::kRead;
+}
+
+// Runs `progs` on a Machine; returns its memory events and whether it
+// deadlocked.
+std::pair<std::vector<MemEvent>, bool> run_on_machine(
+    const std::vector<std::vector<RandomOp>>& progs) {
+  Machine m(cfg(kRandomCores));
+  std::vector<WaitList> lists(kRandomLists);
+  std::vector<MemEvent> events;
+  for (CoreId c = 0; c < kRandomCores; ++c) {
+    m.spawn(c, [&, c] {
+      for (const RandomOp& op : progs[static_cast<std::size_t>(c)]) {
+        switch (op.kind) {
+          case RandomOp::kAdvance:
+            mach().advance(op.arg);
+            break;
+          case RandomOp::kMem:
+            mach().mem_access(op.arg, access_type(op.arg));
+            events.emplace_back(c, op.arg, mach().now());
+            break;
+          case RandomOp::kBlock:
+            mach().block_on(lists[static_cast<std::size_t>(op.list)]);
+            break;
+          case RandomOp::kWake:
+            mach().wake_all(lists[static_cast<std::size_t>(op.list)], op.arg);
+            break;
+        }
+      }
+    });
+  }
+  bool deadlocked = false;
+  try {
+    m.run();
+  } catch (const SimError&) {
+    deadlocked = true;
+  }
+  return {events, deadlocked};
+}
+
+std::pair<std::vector<MemEvent>, bool> run_on_reference(
+    const std::vector<std::vector<RandomOp>>& progs) {
+  const MachineConfig c = cfg(kRandomCores);
+  telemetry::MetricRegistry reg(kRandomCores);
+  MemorySystem memsys(c, reg);
+  enum class St { kRunnable, kBlocked, kDone };
+  std::vector<Cycles> clock(kRandomCores, 0);
+  std::vector<std::size_t> pc(kRandomCores, 0);
+  std::vector<St> st(kRandomCores, St::kRunnable);
+  std::vector<std::vector<CoreId>> lists(kRandomLists);
+  std::vector<MemEvent> events;
+  // Brute force: scan every core; strict '<' keeps the lowest id on ties.
+  const auto earliest = [&] {
+    CoreId best = -1;
+    for (CoreId i = 0; i < kRandomCores; ++i) {
+      if (st[static_cast<std::size_t>(i)] != St::kRunnable) continue;
+      if (best < 0 || clock[static_cast<std::size_t>(i)] <
+                          clock[static_cast<std::size_t>(best)]) {
+        best = i;
+      }
+    }
+    return best;
+  };
+  CoreId cur = earliest();
+  while (cur >= 0) {
+    const auto ci = static_cast<std::size_t>(cur);
+    if (pc[ci] == progs[ci].size()) {
+      st[ci] = St::kDone;
+      cur = earliest();
+      continue;
+    }
+    const RandomOp& op = progs[ci][pc[ci]];
+    switch (op.kind) {
+      case RandomOp::kAdvance:
+        clock[ci] += op.arg;
+        break;
+      case RandomOp::kMem:
+        if (earliest() != cur) {  // yield; retry the access when resumed
+          cur = earliest();
+          continue;
+        }
+        clock[ci] += memsys.access(cur, op.arg, access_type(op.arg));
+        events.emplace_back(cur, op.arg, clock[ci]);
+        break;
+      case RandomOp::kBlock:
+        st[ci] = St::kBlocked;
+        lists[static_cast<std::size_t>(op.list)].push_back(cur);
+        ++pc[ci];
+        cur = earliest();
+        continue;
+      case RandomOp::kWake:
+        for (CoreId w : lists[static_cast<std::size_t>(op.list)]) {
+          const auto wi = static_cast<std::size_t>(w);
+          clock[wi] = std::max(clock[wi], clock[ci] + op.arg);
+          st[wi] = St::kRunnable;
+        }
+        lists[static_cast<std::size_t>(op.list)].clear();
+        break;
+    }
+    ++pc[ci];
+  }
+  const bool deadlocked =
+      std::find(st.begin(), st.end(), St::kBlocked) != st.end();
+  return {events, deadlocked};
+}
+
+TEST(Machine, RandomProgramsMatchBruteForceScheduler) {
+  int completed = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const auto progs = random_programs(seed);
+    const auto [events, deadlocked] = run_on_machine(progs);
+    const auto [ref_events, ref_deadlocked] = run_on_reference(progs);
+    EXPECT_EQ(deadlocked, ref_deadlocked) << "seed " << seed;
+    ASSERT_EQ(events, ref_events) << "seed " << seed;
+    EXPECT_GT(events.size(), 0u);
+    completed += deadlocked ? 0 : 1;
+  }
+  EXPECT_GE(completed, 10);  // most seeds must run to completion
 }
 
 TEST(Machine, DeterministicAcrossRuns) {

@@ -300,6 +300,18 @@ constexpr GoldenRun kGoldenRuns[] = {
     {"rb_tree", 4, 8, 47116, 0x7f392c9019b4aa1bull},
     {"binary_tree_rwlock", 4, 1, 31308, 0x326d967ee0b8b397ull},
     {"binary_tree_rwlock", 4, 8, 36982, 0x2edb93d1d12e6ed1ull},
+    // 32 cores: recorded with the linear-scan scheduler, before it became
+    // a (clock, id) heap, so a slip in 32-way scheduling order shows here.
+    {"linked_list", 32, 1, 52912, 0xa8f184348a766874ull},
+    {"linked_list", 32, 8, 52285, 0x7f392c9019b4aa1bull},
+    {"binary_tree", 32, 1, 14366, 0xa8f184348a766874ull},
+    {"binary_tree", 32, 8, 16981, 0x7f392c9019b4aa1bull},
+    {"hash_table", 32, 1, 13233, 0xa8f184348a766874ull},
+    {"hash_table", 32, 8, 13233, 0xa8f184348a766874ull},
+    {"rb_tree", 32, 1, 35453, 0xa8f184348a766874ull},
+    {"rb_tree", 32, 8, 33564, 0x7f392c9019b4aa1bull},
+    {"binary_tree_rwlock", 32, 1, 20847, 0xa8f184348a766874ull},
+    {"binary_tree_rwlock", 32, 8, 21967, 0x0b733d7a44d715d6ull},
 };
 
 TEST(Workloads, TimedCyclesMatchRecordedValues) {
@@ -323,6 +335,40 @@ TEST(Workloads, TimedCyclesMatchRecordedValues) {
                                   << " scan_range=" << g.scan_range;
     EXPECT_EQ(r.checksum, g.checksum) << g.name << " cores=" << g.cores
                                       << " scan_range=" << g.scan_range;
+  }
+}
+
+// The regular workloads' timed cycles, recorded with the linear-scan
+// scheduler (LevSpec n = 48, MatmulSpec n = 20, default seeds).
+struct RegularGoldenRun {
+  const char* name;
+  int cores;
+  Cycles cycles;
+  std::uint64_t checksum;
+};
+
+constexpr RegularGoldenRun kRegularGoldenRuns[] = {
+    {"levenshtein", 4, 89996, 0x1eull},
+    {"levenshtein", 32, 20798, 0x1eull},
+    {"matmul", 4, 76081, 0x34e94474a4892544ull},
+    {"matmul", 32, 18764, 0x34e94474a4892544ull},
+};
+
+TEST(Workloads, RegularTimedCyclesMatchRecordedValues) {
+  for (const RegularGoldenRun& g : kRegularGoldenRuns) {
+    Env env(cfg(g.cores));
+    RunResult r;
+    if (std::string(g.name) == "levenshtein") {
+      LevSpec spec;
+      spec.n = 48;
+      r = levenshtein_versioned(env, spec, g.cores);
+    } else {
+      MatmulSpec spec;
+      spec.n = 20;
+      r = matmul_versioned(env, spec, g.cores);
+    }
+    EXPECT_EQ(r.cycles, g.cycles) << g.name << " cores=" << g.cores;
+    EXPECT_EQ(r.checksum, g.checksum) << g.name << " cores=" << g.cores;
   }
 }
 
